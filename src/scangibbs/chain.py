@@ -134,8 +134,11 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
             f"full configuration grid of size {total} is too large to sweep; "
             "use the lumped module for large symmetric instances"
         )
+    # int8 keeps the largest grids small; S > 128 needs a wider type, and
+    # since n >= 2 the grid limit keeps S within int16.
+    dtype = np.int8 if S <= 128 else np.int16
     configs = np.array(
-        list(itertools.product(range(S), repeat=n)), dtype=np.int8
+        list(itertools.product(range(S), repeat=n)), dtype=dtype
     ).reshape(total, n)
     h = np.zeros(total)
     for (u, v, table) in model.edges:
@@ -200,21 +203,71 @@ def single_site_kernel(model: BipartiteModel, space: StateSpace, x: int) -> Kern
     return make_kernel(dense, UNIT_VARIABLE, f"T[{x}]")
 
 
+def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
+    """Sum over all variables of the single-site kernels."""
+    N = space.size
+    acc = sp.csr_array((N, N))
+    for x in range(model.n):
+        acc = acc + _single_site_sparse(space, x)
+    return acc
+
+
 def random_update_kernel(
     model: BipartiteModel, space: StateSpace, lazy: bool = True
 ) -> Kernel:
     """Uniform-site Gibbs kernel; lazy form holds with probability 1/2."""
-    n = model.n
     N = space.size
-    acc = sp.csr_array((N, N))
-    for x in range(n):
-        acc = acc + _single_site_sparse(space, x)
-    matrix = acc.toarray() / n
+    matrix = _site_sum(model, space).toarray() / model.n
     label = "P_RU"
     if lazy:
         matrix = 0.5 * np.eye(N) + 0.5 * matrix
         label = "P_RU_lazy"
     return make_kernel(matrix, UNIT_VARIABLE, label)
+
+
+def random_update_sparse(
+    model: BipartiteModel, space: StateSpace, lazy: bool = True
+) -> sp.csr_array:
+    """The random-update kernel as a sparse matrix, at most n(S-1)+1 entries a row."""
+    matrix = _site_sum(model, space) / model.n
+    if lazy:
+        matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
+    return sp.csr_array(matrix)
+
+
+@dataclass(frozen=True)
+class JointTable:
+    """pi as a table over the sub-configurations of the two partitions.
+
+    Rows are the partition-one sub-configurations x1 that occur on the
+    support and columns the partition-two ones x2, both in lexicographic
+    order. cond1[x2] is the law pi(. | x2) of x1 and cond2[x1] the law
+    pi(. | x1) of x2 (A and B in the README): the two half-scans of the
+    alternating scan.
+    """
+
+    joint: np.ndarray   # (|X1|, |X2|)
+    p1: np.ndarray      # (|X1|,) marginal of x1
+    p2: np.ndarray      # (|X2|,) marginal of x2
+    cond1: np.ndarray   # (|X2|, |X1|)
+    cond2: np.ndarray   # (|X1|, |X2|)
+
+
+def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
+    """Split every state into its (x1, x2) halves and tabulate pi.
+
+    Given x2 the partition-one variables are independent, so one
+    partition's scan draws it exactly from its conditional law.
+    """
+    validate_bipartite(model)
+    block = space.domain_size ** model.n2
+    rows = np.unique(space.keys // block, return_inverse=True)[1]
+    cols = np.unique(space.keys % block, return_inverse=True)[1]
+    joint = np.zeros((rows.max() + 1, cols.max() + 1))
+    joint[rows, cols] = space.pi
+    p1 = joint.sum(axis=1)
+    p2 = joint.sum(axis=0)
+    return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])
 
 
 def _right_multiply(dense: np.ndarray, sparse_t: sp.csr_array) -> np.ndarray:

@@ -39,6 +39,7 @@ _NUMERICAL_ERRORS = (
     spectral.NonErgodicError,
     coupling.CouplingInvariantError,
     FloatingPointError,
+    np.linalg.LinAlgError,
 )
 
 
@@ -237,7 +238,7 @@ def _verify_rows(args):
                 ("verify_theorem1", mdl.label, "both", "mixed", "holds",
                  res["holds"] and res["contraction_holds"])
             )
-        return rows, None
+        return rows
     if suite == "mixing_bounds":
         mdl = _resolve_model(args)
         res = mixing.verify_mixing_bounds(
@@ -246,7 +247,7 @@ def _verify_rows(args):
         )
         for metric, value in res.items():
             rows.append(("verify_mixing_bounds", mdl.label, "both", "mixed", metric, value))
-        return rows, None
+        return rows
     if suite == "fill":
         mdl = _resolve_model(args)
         space = chain.enumerate_state_space(mdl, cap=args.cap)
@@ -257,7 +258,7 @@ def _verify_rows(args):
             rows.append(
                 ("verify_fill", mdl.label, sampler, kernel.unit, "holds", res["holds"])
             )
-        return rows, None
+        return rows
     raise ValueError(f"unknown verify suite {suite!r}")
 
 
@@ -308,7 +309,7 @@ def _run_analysis(analysis, args, outputs):
             wide,
         )
     elif analysis == "verify":
-        rows, _ = _verify_rows(args)
+        rows = _verify_rows(args)
         outputs.write_csv(
             f"verify_{args.suite}.csv",
             ("experiment", "model_id", "sampler", "unit", "metric", "value"),
@@ -401,6 +402,9 @@ def main(argv=None) -> int:
         outputs.rollback()
         print(f"scangibbs: error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except BaseException:
+        outputs.rollback()
+        raise
     return EXIT_OK
 
 

@@ -16,7 +16,12 @@ import numpy as np
 from . import chain
 from .chain import Kernel, StateSpace, is_ergodic
 from .model import BipartiteModel
-from .spectral import NonErgodicError, deviation_norm, relaxation_time
+from .spectral import (
+    NonErgodicError,
+    deviation_norm,
+    random_update_slem,
+    scan_correlation,
+)
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
 DEFAULT_T_MAX = 10 ** 6
@@ -112,26 +117,42 @@ def matrix_power(kernel: Kernel, t: int) -> np.ndarray:
 
 def _mixing_time_doubling(kernel, space, threshold, t_max) -> MixingReport:
     pi = space.pi
-    curve = {0: 1.0 - float(pi.min())}
-    if curve[0] <= threshold:
-        return MixingReport(0, threshold, ((0, curve[0]),), False, kernel.unit)
+    return _doubling_search(
+        kernel.matrix, lambda power: _worst_tv(power, pi),
+        {0: 1.0 - float(pi.min())}, threshold, t_max, kernel.unit,
+    )
+
+
+def _doubling_search(step, readout, curve, threshold, t_max, unit) -> MixingReport:
+    """Least t whose worst-start TV is at most the threshold.
+
+    curve holds the TV at t = 0..t0, all above the threshold except
+    perhaps the last; beyond t0 the TV at t is readout(step^(t - t0)).
+    Squared powers of step bracket the answer, then bisection finds it.
+    """
+    t0 = max(curve)
 
     def report(mixing_time, truncated):
         tv_curve = tuple(sorted(curve.items()))
-        return MixingReport(mixing_time, threshold, tv_curve, truncated, kernel.unit)
+        return MixingReport(mixing_time, threshold, tv_curve, truncated, unit)
 
-    # Bracket with squared powers; squares[k] = P^(2^k).
-    squares = [kernel.matrix.copy()]
-    t = 1
-    curve[1] = _worst_tv(squares[0], pi)
-    while curve[t] > threshold:
-        if t >= t_max:
+    if curve[t0] <= threshold:
+        return report(t0, False)
+    if t0 >= t_max:
+        return report(None, True)
+
+    # Bracket with squared powers; squares[k] = step^(2^k).
+    squares = [step.copy()]
+    s = 1
+    curve[t0 + 1] = readout(squares[0])
+    while curve[t0 + s] > threshold:
+        if t0 + s >= t_max:
             return report(None, True)
         squares.append(_renormalize(squares[-1] @ squares[-1]))
-        t *= 2
-        curve[t] = _worst_tv(squares[-1], pi)
-    if t == 1:
-        return report(1, False)
+        s *= 2
+        curve[t0 + s] = readout(squares[-1])
+    if s == 1:
+        return report(t0 + 1, False)
 
     def power_of(steps):
         result = None
@@ -144,17 +165,48 @@ def _mixing_time_doubling(kernel, space, threshold, t_max) -> MixingReport:
             k += 1
         return result
 
-    lo, hi = t // 2, t  # worst TV above threshold at lo, at or below at hi
+    lo, hi = s // 2, s  # TV above threshold at t0 + lo, at or below at t0 + hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        curve[mid] = _worst_tv(power_of(mid), pi)
-        if curve[mid] <= threshold:
+        curve[t0 + mid] = readout(power_of(mid))
+        if curve[t0 + mid] <= threshold:
             hi = mid
         else:
             lo = mid
-    if hi > t_max:
+    if t0 + hi > t_max:
         return report(None, True)
-    return report(hi, False)
+    return report(t0 + hi, False)
+
+
+def scan_mixing_time(
+    table: chain.JointTable,
+    threshold: float = DEFAULT_THRESHOLD,
+    t_max: int = DEFAULT_T_MAX,
+) -> MixingReport:
+    """Mixing time of the alternating scan, in epochs, on the x1 chain.
+
+    One epoch draws x1 from pi(. | x2) and then x2 from pi(. | x1), so
+    P_AS^t(x, .) depends on x only through x2, and for t >= 1 it is
+    q(y1) pi(y2 | y1) with q = (A L^(t-1))[x2], where A[x2] = pi(. | x2),
+    B[x1] = pi(. | x1) and L = B A is the |X1| x |X1| chain of x1. Since
+    pi(y1, y2) = p1(y1) pi(y2 | y1),
+
+        TV(P_AS^t(x, .), pi) = TV(q, p1),
+
+    so the worst start at t >= 1 is the worst row of A L^(t-1) against
+    p1; at t = 0 it is 1 - pi_min, as for any kernel. The search is the
+    doubling search of exact_mixing_time with that readout.
+    """
+    if t_max < 1:
+        raise MixingError("t_max must be at least 1")
+    p1, a = table.p1, table.cond1
+    curve = {0: 1.0 - float(table.joint[table.joint > 0.0].min())}
+    if curve[0] > threshold:
+        curve[1] = _worst_tv(a, p1)
+    return _doubling_search(
+        table.cond2 @ a, lambda power: _worst_tv(a @ power, p1),
+        curve, threshold, t_max, chain.UNIT_EPOCH,
+    )
 
 
 def rational_ru_kernel(
@@ -242,16 +294,20 @@ def verify_mixing_bounds(
     (a) T_rel(RU) - 1 <= T_mix(RU) <= T_rel(RU) log(2e / pi_min)
     (b) T_mix(AS) <= log(4e^2 / pi_min) T_rel(AS)
     (c) T_mix(AS) <= log(4e^2 / pi_min) (T_mix(RU) + 1)
+
+    Only T_mix(RU) needs the dense kernel; the scan side runs on the
+    joint table (scan_correlation, scan_mixing_time) and T_rel(RU) on
+    the sparse kernel (random_update_slem).
     """
     space = chain.enumerate_state_space(model, cap=cap)
-    p_ru = chain.random_update_kernel(model, space, lazy=lazy)
-    p_as = chain.scan_kernels(model, space)["P_AS"]
+    table = chain.joint_table(model, space)
     pi_min = float(space.pi.min())
 
-    t_rel_ru = relaxation_time(p_ru, space).relaxation_time
-    t_rel_as = relaxation_time(p_as, space).relaxation_time
+    t_rel_ru = 1.0 / (1.0 - random_update_slem(model, space, lazy))
+    t_rel_as = 1.0 / (1.0 - scan_correlation(table))
+    p_ru = chain.random_update_kernel(model, space, lazy=lazy)
     mix_ru = exact_mixing_time(p_ru, space, threshold, t_max, method="doubling")
-    mix_as = exact_mixing_time(p_as, space, threshold, t_max, method="doubling")
+    mix_as = scan_mixing_time(table, threshold, t_max)
     if mix_ru.truncated or mix_as.truncated:
         raise MixingError("mixing-time computation truncated; raise t_max")
     t_mix_ru, t_mix_as = mix_ru.mixing_time, mix_as.mixing_time

@@ -27,5 +27,27 @@ def asymmetric_rbm():
     return sg.build_rbm(weights, np.array([0.2, -0.4, 0.1]), np.array([-0.3, 0.5]))
 
 
+@pytest.fixture(scope="session")
+def engine_models(zero_rbm_22, asymmetric_rbm):
+    """Models for checking the two-block engine against the dense kernels.
+
+    They span both sides of the dense/ARPACK eigensolver switch, the
+    independent case (rho = 0), the symmetric hardcore K_{n,n} and one
+    domain of size 3.
+    """
+    rng = np.random.default_rng(11)
+    models = [zero_rbm_22, asymmetric_rbm]
+    models += [sg.build_hardcore_complete_bipartite(n) for n in (2, 3, 5, 6)]
+    for n1, n2 in ((1, 1), (1, 3), (2, 2), (3, 2), (3, 3), (4, 3), (2, 5)):
+        m = int(rng.integers(0, n1 * n2 + 1))
+        models.append(sg.random_bipartite_model(
+            n1, n2, m, -2.0, 2.0, seed=int(rng.integers(0, 2 ** 31))))
+    edges = tuple((i, 2 + j, rng.uniform(-1.0, 1.0, (3, 3)))
+                  for i in range(2) for j in range(2))
+    models.append(sg.BipartiteModel(2, 2, 3, edges, rng.uniform(-1.0, 1.0, (4, 3)),
+                                    label="potts3"))
+    return models
+
+
 def space_of(model, cap=4096):
     return sg.enumerate_state_space(model, cap=cap)

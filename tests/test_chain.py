@@ -41,6 +41,21 @@ def test_enumerate_cap_exceeded(hardcore_k33):
         sg.enumerate_state_space(hardcore_k33, cap=10)
 
 
+def test_enumerate_wide_domain():
+    # 200 values per variable overflow an int8 configuration grid
+    S = 200
+    model = sg.BipartiteModel(1, 1, S, (), np.zeros((2, S)))
+    with pytest.raises(StateSpaceCapError, match="40000 > 4096"):
+        sg.enumerate_state_space(model)
+    space = sg.enumerate_state_space(model, cap=40000)
+    assert space.size == S * S
+    assert space.pi == pytest.approx(np.full(S * S, 1 / S ** 2))
+    for config in ([0, 0], [199, 0], [128, 199], [57, 130], [199, 199]):
+        i = space.index_of(config)
+        assert i == config[0] * S + config[1]
+        assert space.configs[i].tolist() == config
+
+
 def test_single_site_rows_sum_to_one(rbm):
     model, space = rbm
     for x in range(model.n):

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from scangibbs import cli
@@ -206,3 +207,44 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert (tmp_path / "spectral.csv").exists()
+
+
+def _fail_mixing_stage(monkeypatch, tmp_path, exc):
+    # raise only after the spectral stage has written its CSV
+    def boom(*args, **kwargs):
+        assert (tmp_path / "spectral.csv").exists()
+        raise exc
+
+    monkeypatch.setattr(cli.mixing, "exact_mixing_time", boom)
+    return ["run", "--analyses", "spectral,mixing", "--model", "hardcore_knn",
+            "--n", "2", "--out", str(tmp_path)]
+
+
+def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    argv = _fail_mixing_stage(
+        monkeypatch, tmp_path, np.linalg.LinAlgError("Eigenvalues did not converge")
+    )
+    assert run_cli(argv) == cli.EXIT_NUMERICAL_ERROR
+    assert "numerical failure" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc_type", [OverflowError, MemoryError, KeyboardInterrupt])
+def test_unmapped_exception_rolls_back_and_reraises(tmp_path, monkeypatch, exc_type):
+    argv = _fail_mixing_stage(monkeypatch, tmp_path, exc_type("injected"))
+    with pytest.raises(exc_type, match="injected"):
+        run_cli(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wide_domain_model_is_user_error(tmp_path, capsys):
+    # S = 200 values per variable do not fit the int8 configuration grid
+    model_file = tmp_path / "wide.json"
+    model_file.write_text(json.dumps({
+        "kind": "mrf", "partition": [0, 1], "unary": [[0.0] * 200] * 2, "edges": [],
+    }))
+    out = tmp_path / "out"
+    code = run_cli(["spectral", "--model-file", str(model_file), "--out", str(out)])
+    assert code == cli.EXIT_USER_ERROR
+    assert "40000 > 4096" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []

@@ -161,3 +161,43 @@ def test_fill_inequality_scan_and_ru(k22):
         assert result["holds"], result
         assert all(m >= 0.0 for m in result["worst_margin_by_t"].values())
         assert 0.0 < result["contraction"] < 1.0
+
+
+@pytest.mark.parametrize("threshold", [mixing.DEFAULT_THRESHOLD, 0.25, 0.01])
+def test_scan_mixing_time_matches_dense_kernel(engine_models, threshold):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p_as = sg.scan_kernels(model, space)["P_AS"]
+        dense = exact_mixing_time(p_as, space, threshold=threshold, method="doubling")
+        report = mixing.scan_mixing_time(chain.joint_table(model, space), threshold)
+        assert report.mixing_time == dense.mixing_time, model.label
+        assert report.unit == chain.UNIT_EPOCH
+        # every TV value read off the x1 chain is the worst-start TV of P_AS^t
+        for t, tv in report.tv_curve[1:]:
+            power = mixing.matrix_power(p_as, t)
+            assert tv == pytest.approx(mixing._worst_tv(power, space.pi), abs=1e-12)
+
+
+def test_scan_mixing_time_truncation(hardcore_k22):
+    table = chain.joint_table(hardcore_k22, sg.enumerate_state_space(hardcore_k22))
+    for t_max in (1, 2):
+        report = mixing.scan_mixing_time(table, t_max=t_max)
+        assert report.truncated and report.mixing_time is None
+    assert mixing.scan_mixing_time(table, t_max=3).mixing_time == 3
+    with pytest.raises(MixingError):
+        mixing.scan_mixing_time(table, t_max=0)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p_ru = sg.random_update_kernel(model, space, lazy=lazy)
+        p_as = sg.scan_kernels(model, space)["P_AS"]
+        result = sg.verify_mixing_bounds(model, lazy=lazy)
+        assert result["t_rel_ru"] == pytest.approx(
+            sg.relaxation_time(p_ru, space).relaxation_time, rel=1e-10)
+        assert result["t_rel_as"] == pytest.approx(
+            sg.relaxation_time(p_as, space).relaxation_time, rel=1e-10)
+        assert result["t_mix_ru"] == exact_mixing_time(p_ru, space, method="doubling").mixing_time
+        assert result["t_mix_as"] == exact_mixing_time(p_as, space, method="doubling").mixing_time

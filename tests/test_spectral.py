@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import scangibbs as sg
-from scangibbs import chain, spectral
+from scangibbs import chain, mixing, spectral
 from scangibbs.spectral import NonErgodicError
 
 
@@ -131,3 +133,92 @@ def test_verify_theorem1_random_sweep():
 def test_verify_theorem1_nonlazy_contraction_can_use_nonlazy_norm(hardcore_k22):
     result = sg.verify_theorem1(hardcore_k22, lazy=False)
     assert result["holds"]
+
+
+def _dense_theorem1(model, lazy):
+    space = sg.enumerate_state_space(model)
+    p_ru = sg.random_update_kernel(model, space, lazy=lazy)
+    p_as = sg.scan_kernels(model, space)["P_AS"]
+    return {
+        "t_rel_as": sg.relaxation_time(p_as, space).relaxation_time,
+        "t_rel_ru": sg.relaxation_time(p_ru, space).relaxation_time,
+        "contraction_lhs": sg.deviation_norm(sg.reversibilization(p_as, space), space),
+        "contraction_rhs": sg.deviation_norm(p_ru, space) ** 2,
+    }
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_verify_theorem1_matches_dense_oracle(engine_models, lazy):
+    for model in engine_models:
+        result = sg.verify_theorem1(model, lazy=lazy)
+        for key, value in _dense_theorem1(model, lazy).items():
+            assert result[key] == pytest.approx(value, rel=1e-10, abs=1e-14), (
+                model.label, key)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_sparse_slem_matches_dense_both_solvers(engine_models, lazy):
+    sizes = set()
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        sizes.add(space.size)
+        dense = sg.deviation_norm(sg.random_update_kernel(model, space, lazy=lazy), space)
+        sparse = spectral.sparse_deviation_norm(
+            chain.random_update_sparse(model, space, lazy=lazy), space)
+        assert sparse == pytest.approx(dense, rel=1e-12), model.label
+    # both the dense solver and ARPACK were exercised
+    assert min(sizes) <= spectral._DENSE_EIGEN_MAX < max(sizes)
+
+
+def test_scan_correlation_rejects_disconnected_support():
+    # x1 == x2 is forced: the scan never leaves its start
+    table = np.eye(2) / 2
+    joint = chain.JointTable(table, table.sum(1), table.sum(0), np.eye(2), np.eye(2))
+    with pytest.raises(NonErgodicError):
+        spectral.scan_correlation(joint)
+
+
+def test_sparse_slem_rejects_non_reversible(asymmetric_rbm):
+    space = sg.enumerate_state_space(asymmetric_rbm)
+    p_as = sg.scan_kernels(asymmetric_rbm, space)["P_AS"]
+    with pytest.raises(chain.NumericalError, match="detailed balance"):
+        spectral.sparse_deviation_norm(sp.csr_array(p_as.matrix), space)
+
+
+def test_verify_theorem1_repeats_bit_for_bit():
+    model = sg.random_bipartite_model(4, 4, 12, -2.0, 2.0, seed=5)
+    assert sg.enumerate_state_space(model).size > spectral._DENSE_EIGEN_MAX
+    assert sg.verify_theorem1(model) == sg.verify_theorem1(model)
+
+
+def test_verifiers_use_no_dense_scan_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense scan path called")
+
+    for module, name in ((chain, "scan_kernels"), (chain, "reversibilization"),
+                         (spectral, "reversibilization"), (spectral, "deviation_norm"),
+                         (spectral, "relaxation_time"), (mixing, "deviation_norm")):
+        monkeypatch.setattr(module, name, forbidden)
+    model = sg.random_bipartite_model(5, 5, 20, -1.0, 1.0, seed=3)
+    assert sg.verify_mixing_bounds(model)["all_hold"]
+    n_states = sg.enumerate_state_space(model).size
+    tracemalloc.start()
+    try:
+        assert sg.verify_theorem1(model)["holds"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single dense N x N float64 array would take 8 N^2 bytes
+    assert peak < 8 * n_states ** 2 // 2
+
+
+@pytest.mark.parametrize("size", [20, 100])
+def test_sparse_slem_sees_the_negative_end(size):
+    # a walk on K_{m,m} that holds with probability 0.02: eigenvalues 1, 0.02, -0.96
+    half = size // 2
+    walk = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.full((half, half), 1.0 / half))
+    matrix = sp.csr_array(0.02 * np.eye(size) + 0.98 * walk)
+    space = chain.StateSpace(np.arange(size)[:, None], np.full(size, 1.0 / size), size)
+    dense = sg.deviation_norm(chain.Kernel(matrix.toarray(), chain.UNIT_COMPOSITE, "P"), space)
+    assert dense == pytest.approx(0.96)
+    assert spectral.sparse_deviation_norm(matrix, space) == pytest.approx(dense, rel=1e-12)
