@@ -7,7 +7,6 @@ a half scan of one partition, a full epoch, or a composite operator.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -135,31 +134,33 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
             "use the lumped module for large symmetric instances"
         )
     # int8 keeps the largest grids small; S > 128 needs a wider type, and
-    # since n >= 2 the grid limit keeps S within int16.
+    # since n >= 2 the grid limit keeps S within int16. The grid is built
+    # one mixed-radix digit column at a time, in itertools.product order.
     dtype = np.int8 if S <= 128 else np.int16
-    configs = np.array(
-        list(itertools.product(range(S), repeat=n)), dtype=dtype
-    ).reshape(total, n)
-    h = np.zeros(total)
-    for (u, v, table) in model.edges:
-        h += np.asarray(table, dtype=float)[configs[:, u], configs[:, v]]
+    index = np.arange(total)
+    configs = np.empty((total, n), dtype=dtype)
     for j in range(n):
-        h += model.unaries[j][configs[:, j]]
-    valid = np.ones(total, dtype=bool)
+        configs[:, j] = (index // S ** (n - 1 - j)) % S
     if model.hard_constraint == "hardcore":
+        valid = np.ones(total, dtype=bool)
         for (u, v, _) in model.edges:
             valid &= ~((configs[:, u] == 1) & (configs[:, v] == 1))
-    count = int(valid.sum())
+        configs = configs[valid]
+    count = configs.shape[0]
     if count > cap:
         raise StateSpaceCapError(f"state space exceeds cap: {count} > {cap}")
     if count == 0:
         raise ChainError("no configuration has positive weight")
-    h_valid = h[valid]
-    if np.max(np.abs(h_valid)) > HAMILTONIAN_RANGE:
+    h = np.zeros(count)
+    for (u, v, table) in model.edges:
+        h += np.asarray(table, dtype=float)[configs[:, u], configs[:, v]]
+    for j in range(n):
+        h += model.unaries[j][configs[:, j]]
+    if np.max(np.abs(h)) > HAMILTONIAN_RANGE:
         raise HamiltonianRangeError("hamiltonian out of numeric range")
-    weights = np.exp(h_valid - h_valid.max())
+    weights = np.exp(h - h.max())
     pi = weights / weights.sum()
-    return StateSpace(configs=configs[valid], pi=pi, domain_size=S)
+    return StateSpace(configs=configs, pi=pi, domain_size=S)
 
 
 def _single_site_probs(space: StateSpace, x: int):

@@ -10,6 +10,7 @@ time dominates the coupling time of every start pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,11 @@ def monotonicity_precondition(model: BipartiteModel) -> None:
 
 
 def _couplings_of(model: BipartiteModel):
-    """Bias vector, per-site neighbor lists, and the cross-weight matrix."""
+    """Bias vector, per-site (neighbor, weight) tuples, and the cross matrix.
+
+    Neighbor tuples follow `model.edges` order, so a site's field sums its
+    weights in the same order on every call.
+    """
     n, n1, n2 = model.n, model.n1, model.n2
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     neighbors = [[] for _ in range(n)]
@@ -77,10 +82,20 @@ def _couplings_of(model: BipartiteModel):
         rows.append(u)
         cols.append(v - n1)
         vals.append(w)
-    nbr_idx = [np.array([i for i, _ in lst], dtype=np.int64) for lst in neighbors]
-    nbr_w = [np.array([w for _, w in lst]) for lst in neighbors]
+    nbrs = tuple(tuple(lst) for lst in neighbors)
     cross = sp.csr_array((vals, (rows, cols)), shape=(n1, n2))
-    return bias, nbr_idx, nbr_w, cross
+    return bias, nbrs, cross
+
+
+def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
+    if value is None:
+        return np.full(n, default, dtype=np.int8)
+    arr = np.asarray(value)
+    if arr.shape != (n,):
+        raise ModelError(f"{name} must have shape ({n},), got {arr.shape}")
+    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
+        raise ModelError(f"{name} entries must be exactly 0 or 1")
+    return arr.astype(np.int8)
 
 
 def grand_coupling_time(
@@ -105,20 +120,23 @@ def grand_coupling_time(
         raise ModelError(f"unknown sampler {sampler!r}")
     if replicates < 1:
         raise ModelError("need at least one replicate")
+    if max_updates < 0:
+        raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     n = model.n
-    bias, nbr_idx, nbr_w, cross = _couplings_of(model)
-    top0 = np.ones(n, dtype=np.int8) if start_top is None else np.asarray(start_top, dtype=np.int8)
-    bot0 = np.zeros(n, dtype=np.int8) if start_bottom is None else np.asarray(start_bottom, dtype=np.int8)
+    bias, nbrs, cross = _couplings_of(model)
+    top0 = _start_vector(start_top, 1, n, "start_top")
+    bot0 = _start_vector(start_bottom, 0, n, "start_bottom")
     if np.any(top0 < bot0):
         raise ModelError("top start must dominate bottom start coordinatewise")
 
+    bias_list = bias.tolist()
     samples = []
     truncated = 0
     for rep in range(replicates):
         rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(rep)]))
         if sampler == SAMPLER_RANDOM_UPDATE:
             time = _run_random_update(
-                model, bias, nbr_idx, nbr_w, rng, max_updates, lazy, top0, bot0
+                bias_list, nbrs, rng, max_updates, lazy, top0, bot0
             )
         else:
             time = _run_alternating_scan(
@@ -148,69 +166,59 @@ def grand_coupling_time(
     )
 
 
-def _prob_of_one(bias, nbr_idx, nbr_w, state, x) -> float:
-    field = bias[x]
-    idx = nbr_idx[x]
-    if idx.size:
-        field += float(nbr_w[x] @ state[idx])
-    return float(expit(field))
+def _site_update(bias, nbrs, top, bottom, x, u) -> int:
+    """Resample site x of both chains from the shared uniform u.
+
+    `top` and `bottom` are lists of 0/1 ints, updated in place. Returns
+    the change in the number of sites where the two chains disagree.
+    """
+    field_top = field_bot = 0.0
+    for j, w in nbrs[x]:
+        if top[j]:
+            field_top += w
+        if bottom[j]:
+            field_bot += w
+    b = bias[x]
+    new_top = 1 if u < 1.0 / (1.0 + math.exp(-(b + field_top))) else 0
+    new_bot = 1 if u < 1.0 / (1.0 + math.exp(-(b + field_bot))) else 0
+    if new_bot > new_top:
+        raise CouplingInvariantError("sandwich violated at a site update")
+    delta = (new_top != new_bot) - (top[x] != bottom[x])
+    top[x] = new_top
+    bottom[x] = new_bot
+    return delta
 
 
-def _run_random_update(
-    model, bias, nbr_idx, nbr_w, rng, max_updates, lazy, top0, bot0
-):
-    n = model.n
-    top = top0.copy()
-    bottom = bot0.copy()
-    disagreements = int(np.sum(top != bottom))
-    if disagreements == 0:
-        _check_suffix_random(model, bias, nbr_idx, nbr_w, rng, top, bottom, lazy)
-        return 0
+def _draws(rng, n: int, size: int, lazy: bool):
+    """(site, uniform, hold) for `size` updates, drawn in stream order."""
+    sites = rng.integers(0, n, size=size).tolist()
+    uniforms = rng.random(size).tolist()
+    holds = (rng.random(size) < 0.5).tolist() if lazy else [False] * size
+    return zip(sites, uniforms, holds)
+
+
+def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
+    n = len(bias)
+    top = top0.tolist()
+    bottom = bot0.tolist()
+    disagreements = int(np.sum(top0 != bot0))
     updates = 0
-    while updates < max_updates:
+    while disagreements and updates < max_updates:
         block = min(_RNG_BLOCK, max_updates - updates)
-        sites = rng.integers(0, n, size=block)
-        uniforms = rng.random(block)
-        holds = rng.random(block) < 0.5 if lazy else None
-        for i in range(block):
+        for x, u, hold in _draws(rng, n, block, lazy):
             updates += 1
-            if lazy and holds[i]:
+            if hold:
                 continue
-            x = int(sites[i])
-            u = uniforms[i]
-            new_top = u < _prob_of_one(bias, nbr_idx, nbr_w, top, x)
-            new_bot = u < _prob_of_one(bias, nbr_idx, nbr_w, bottom, x)
-            if new_bot and not new_top:
-                raise CouplingInvariantError("sandwich violated at a site update")
-            was_diff = top[x] != bottom[x]
-            top[x] = new_top
-            bottom[x] = new_bot
-            now_diff = top[x] != bottom[x]
-            disagreements += int(now_diff) - int(was_diff)
-            if disagreements == 0:
-                _check_suffix_random(
-                    model, bias, nbr_idx, nbr_w, rng, top, bottom, lazy
-                )
-                return updates
-    return None
-
-
-def _check_suffix_random(model, bias, nbr_idx, nbr_w, rng, top, bottom, lazy):
-    """Coalesced chains must stay identical; spot-check one epoch length."""
-    n = model.n
-    sites = rng.integers(0, n, size=n)
-    uniforms = rng.random(n)
-    holds = rng.random(n) < 0.5 if lazy else np.zeros(n, dtype=bool)
-    for x, u, hold in zip(sites, uniforms, holds):
-        if hold:
-            continue
-        x = int(x)
-        new_top = u < _prob_of_one(bias, nbr_idx, nbr_w, top, x)
-        new_bot = u < _prob_of_one(bias, nbr_idx, nbr_w, bottom, x)
-        top[x] = new_top
-        bottom[x] = new_bot
-    if np.any(top != bottom):
-        raise CouplingInvariantError("coalesced chains separated")
+            disagreements += _site_update(bias, nbrs, top, bottom, x, u)
+            if not disagreements:
+                break
+    if disagreements:
+        return None
+    # Coalesced chains must stay identical; spot-check one epoch length.
+    for x, u, hold in _draws(rng, n, n, lazy):
+        if not hold and _site_update(bias, nbrs, top, bottom, x, u):
+            raise CouplingInvariantError("coalesced chains separated")
+    return updates
 
 
 def _run_alternating_scan(model, bias, cross, rng, max_updates, lazy, top0, bot0):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,26 @@ def test_enumerate_wide_domain():
         i = space.index_of(config)
         assert i == config[0] * S + config[1]
         assert space.configs[i].tolist() == config
+
+
+@pytest.mark.parametrize(
+    "S, n1, n2", [(2, 1, 1), (2, 3, 4), (3, 2, 2), (2, 5, 6), (200, 1, 1)]
+)
+def test_enumeration_grid_matches_itertools_product(S, n1, n2):
+    model = sg.BipartiteModel(n1, n2, S, (), np.zeros((n1 + n2, S)))
+    space = sg.enumerate_state_space(model, cap=S ** (n1 + n2))
+    expected = np.array(list(itertools.product(range(S), repeat=n1 + n2)))
+    assert space.configs.dtype == (np.int8 if S <= 128 else np.int16)
+    assert np.array_equal(space.configs, expected)
+
+
+def test_enumerate_hardcore_rows_are_product_order(hardcore_k33):
+    space = sg.enumerate_state_space(hardcore_k33)
+    expected = [
+        c for c in itertools.product(range(2), repeat=6)
+        if not (any(c[:3]) and any(c[3:]))
+    ]
+    assert space.configs.tolist() == [list(c) for c in expected]
 
 
 def test_single_site_rows_sum_to_one(rbm):

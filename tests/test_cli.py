@@ -83,6 +83,18 @@ def test_coupling_subcommand(tmp_path):
     assert counts["truncated_count"] == "0"
 
 
+def test_negative_max_updates_is_user_error(tmp_path, capsys):
+    code = run_cli(
+        ["run", "--analyses", "spectral,coupling", "--model", "random_rbm",
+         "--n1", "2", "--n2", "2", "--m", "3", "--weight-low", "0.0",
+         "--weight-high", "0.3", "--seed", "7",
+         "--max-updates", "-5", "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_USER_ERROR
+    assert "max_updates must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_theorem1_suite(tmp_path):
     code = run_cli(
         ["verify", "--suite", "theorem1", "--seed", "3", "--trials", "10",

@@ -142,3 +142,77 @@ def test_coupled_state_matches_exact_distribution():
     assert report.truncated_count == 0
     # empirical mean coalescence should be of the order of n log n, not huge
     assert report.mean < 200
+
+
+# Samples recorded before the random-update step became a scalar update;
+# every seeded sample must stay identical.
+@pytest.mark.parametrize(
+    "sampler, lazy, max_updates, expected",
+    [
+        (SAMPLER_RANDOM_UPDATE, False, 200000,
+         (216, 266, 281, 284, 336, 345, 356, 583)),
+        (SAMPLER_RANDOM_UPDATE, True, 400000,
+         (407, 435, 440, 451, 571, 627, 646, 671)),
+        (SAMPLER_ALTERNATING_SCAN, False, 200000,
+         (120, 120, 120, 120, 120, 120, 120, 180)),
+    ],
+)
+def test_pinned_samples(ferro, sampler, lazy, max_updates, expected):
+    report = grand_coupling_time(ferro, sampler, 11, 8, max_updates, lazy=lazy)
+    assert report.samples == expected
+
+
+def test_post_coalescence_check_detects_separation(ferro, monkeypatch):
+    real_update = coupling._site_update
+
+    def split_after_coalescence(bias, nbrs, top, bottom, x, u):
+        if top == bottom:
+            top[x], bottom[x] = 1, 0
+            return 1
+        return real_update(bias, nbrs, top, bottom, x, u)
+
+    monkeypatch.setattr(coupling, "_site_update", split_after_coalescence)
+    with pytest.raises(coupling.CouplingInvariantError, match="coalesced chains separated"):
+        grand_coupling_time(ferro, SAMPLER_RANDOM_UPDATE, 11, 1, 200000)
+
+
+@pytest.fixture(scope="module")
+def six_vars():
+    return sg.random_bipartite_model(3, 3, 6, 0.0, 0.3, seed=1)
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_start_of_wrong_length_rejected(six_vars, sampler):
+    with pytest.raises(ModelError, match=r"start_top must have shape \(6,\)"):
+        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_top=np.ones(7))
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_start_value_two_rejected(six_vars, sampler):
+    top = np.array([2, 1, 1, 1, 1, 1])
+    with pytest.raises(ModelError, match="start_top entries must be exactly 0 or 1"):
+        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_top=top)
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_fractional_start_rejected(six_vars, sampler):
+    bottom = np.array([0.6, 0, 0, 0, 0, 0])
+    with pytest.raises(ModelError, match="start_bottom entries must be exactly 0 or 1"):
+        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_bottom=bottom)
+
+
+def test_negative_max_updates_rejected(six_vars):
+    for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
+        with pytest.raises(ModelError, match="max_updates must be non-negative"):
+            grand_coupling_time(six_vars, sampler, 1, 2, -5)
+
+
+def test_zero_max_updates(six_vars):
+    ones = np.ones(six_vars.n)
+    for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
+        same = grand_coupling_time(
+            six_vars, sampler, 1, 2, 0, start_top=ones, start_bottom=ones
+        )
+        assert same.samples == (0, 0)
+        apart = grand_coupling_time(six_vars, sampler, 1, 2, 0)
+        assert apart.truncated_count == 2
