@@ -224,7 +224,7 @@ def _verify_rows(args):
     if suite == "theorem1":
         if args.seed is None:
             raise model_mod.ModelError("the theorem1 suite requires --seed")
-        rng = np.random.Generator(np.random.Philox(key=np.uint64(args.seed)))
+        rng = np.random.Generator(np.random.Philox(key=model_mod.philox_key(args.seed)))
         for trial in range(args.trials):
             n1 = int(rng.integers(1, 6))
             n2 = int(rng.integers(1, 6))

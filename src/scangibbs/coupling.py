@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .model import BipartiteModel, ModelError
+from .model import BipartiteModel, ModelError, philox_key
 
 SAMPLER_RANDOM_UPDATE = "random_update"
 SAMPLER_ALTERNATING_SCAN = "alternating_scan"
@@ -122,6 +122,7 @@ def grand_coupling_time(
         raise ModelError("need at least one replicate")
     if max_updates < 0:
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
+    key = philox_key(seed)
     n = model.n
     bias, nbrs, cross = _couplings_of(model)
     top0 = _start_vector(start_top, 1, n, "start_top")
@@ -133,7 +134,7 @@ def grand_coupling_time(
     samples = []
     truncated = 0
     for rep in range(replicates):
-        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(rep)]))
+        rng = np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)]))
         if sampler == SAMPLER_RANDOM_UPDATE:
             time = _run_random_update(
                 bias_list, nbrs, rng, max_updates, lazy, top0, bot0

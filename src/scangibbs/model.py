@@ -257,6 +257,13 @@ def build_hardcore_complete_bipartite(n: int) -> BipartiteModel:
     )
 
 
+def philox_key(seed: int) -> np.uint64:
+    """The Philox key word of a user seed, which must fit in 64 bits."""
+    if not 0 <= seed < 2 ** 64:
+        raise ModelError(f"seed must be in [0, 2^64), got {seed}")
+    return np.uint64(seed)
+
+
 def random_bipartite_model(
     n1: int, n2: int, m: int, weight_low: float, weight_high: float, seed: int,
     label: str | None = None,
@@ -269,7 +276,7 @@ def random_bipartite_model(
     """
     if m > n1 * n2:
         raise ModelError(f"m={m} exceeds the {n1 * n2} available pairs")
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     pairs = rng.permutation(n1 * n2)[:m]
     weights = rng.uniform(weight_low, weight_high, size=m)
     edges = []

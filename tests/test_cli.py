@@ -95,6 +95,22 @@ def test_negative_max_updates_is_user_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+@pytest.mark.parametrize("argv", [
+    ["coupling", "--model", "random_rbm", "--n1", "2", "--n2", "2", "--replicates", "2"],
+    ["verify", "--suite", "theorem1", "--trials", "2"],
+    ["mixing", "--model", "random_rbm", "--n1", "2", "--n2", "2"],
+    # spectral.csv is written before grand_coupling_time sees the seed
+    ["run", "--analyses", "spectral,coupling", "--model", "zero_rbm", "--n1", "2",
+     "--n2", "1"],
+])
+def test_out_of_range_seed_is_user_error(tmp_path, capsys, argv, seed):
+    code = run_cli([*argv, "--seed", seed, "--out", str(tmp_path)])
+    assert code == cli.EXIT_USER_ERROR
+    assert "seed must be in [0, 2^64)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_theorem1_suite(tmp_path):
     code = run_cli(
         ["verify", "--suite", "theorem1", "--seed", "3", "--trials", "10",

@@ -216,3 +216,12 @@ def test_zero_max_updates(six_vars):
         assert same.samples == (0, 0)
         apart = grand_coupling_time(six_vars, sampler, 1, 2, 0)
         assert apart.truncated_count == 2
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_seed_must_fit_a_philox_key(six_vars, sampler):
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ModelError, match=r"seed must be in \[0, 2\^64\)"):
+            grand_coupling_time(six_vars, sampler, seed, 2, 1000)
+    report = grand_coupling_time(six_vars, sampler, 2 ** 64 - 1, 2, 10 ** 6)
+    assert report.truncated_count == 0

@@ -201,3 +201,125 @@ def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
             sg.relaxation_time(p_as, space).relaxation_time, rel=1e-10)
         assert result["t_mix_ru"] == exact_mixing_time(p_ru, space, method="doubling").mixing_time
         assert result["t_mix_as"] == exact_mixing_time(p_as, space, method="doubling").mixing_time
+
+
+def _per_start_tv(kernel, space, t):
+    power = np.linalg.matrix_power(kernel.matrix, t)
+    return 0.5 * np.abs(power - space.pi).sum(axis=1)
+
+
+@pytest.mark.parametrize("threshold", [0.05, mixing.DEFAULT_THRESHOLD, 0.4])
+@pytest.mark.parametrize("lazy", [True, False])
+def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p_ru = sg.random_update_kernel(model, space, lazy=lazy)
+        expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
+        assert mixing.active_start_mixing_time(p_ru, space, threshold) == expected, model.label
+
+
+def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
+    # The bracket is (16, 32]: the worst start at t = 16 is not the one
+    # still above the threshold at t = 22, so no single row can be tracked.
+    space = sg.enumerate_state_space(asymmetric_rbm)
+    p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
+    t_mix = mixing.active_start_mixing_time(p, space)
+    assert t_mix == exact_mixing_time(p, space, method="doubling").mixing_time == 23
+    last = _per_start_tv(p, space, t_mix - 1)
+    assert np.argmax(_per_start_tv(p, space, 16)) != np.argmax(last)
+    assert last.max() > mixing.DEFAULT_THRESHOLD >= _per_start_tv(p, space, t_mix).max()
+
+
+def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkeypatch):
+    space = sg.enumerate_state_space(asymmetric_rbm)
+    p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
+    rows_formed = []
+    renormalize = mixing._renormalize
+
+    def counting(matrix):
+        rows_formed.append(len(matrix))
+        return renormalize(matrix)
+
+    monkeypatch.setattr(mixing, "_renormalize", counting)
+    assert mixing.active_start_mixing_time(p, space) == 23
+
+    def above(t):
+        return int(np.sum(_per_start_tv(p, space, t) > mixing.DEFAULT_THRESHOLD))
+
+    # P^2 .. P^16 in full, then only the active rows of P^32, which closes
+    # the bracket (16, 32]; lifting t = 16 by 8 (no start above at 24),
+    # by 4 (to 20), by 2 (to 22) and by 1 (no start above at 23).
+    assert above(16) > above(20) > above(22) > 0 == above(23)
+    assert sum(rows_formed) == 4 * space.size + 3 * above(16) + above(20) + above(22)
+
+
+def test_active_start_search_at_t0_and_t1(zero_rbm_22):
+    space = sg.enumerate_state_space(zero_rbm_22)
+    p = sg.random_update_kernel(zero_rbm_22, space, lazy=False)
+    # TV is 15/16 at t = 0; after one update P(x, .) meets pi = 1/16 only
+    # on x and its 4 neighbours, so TV = 1 - 5/16
+    assert _per_start_tv(p, space, 1).max() == pytest.approx(0.6875)
+    for threshold, expected in ((0.95, 0), (0.7, 1), (0.6, 2)):
+        assert mixing.active_start_mixing_time(p, space, threshold) == expected
+        assert exact_mixing_time(p, space, threshold, method="doubling").mixing_time == expected
+
+
+def test_active_start_search_truncation(k22):
+    model, space = k22
+    p = sg.random_update_kernel(model, space, lazy=True)
+    for t_max in range(1, 40):
+        report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
+        expected = None if report.truncated else report.mixing_time
+        assert mixing.active_start_mixing_time(p, space, t_max=t_max) == expected, t_max
+    with pytest.raises(MixingError):
+        mixing.active_start_mixing_time(p, space, t_max=0)
+
+
+def test_active_start_search_rejects_non_ergodic():
+    space = sg.enumerate_state_space(sg.build_rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
+    identity = chain.Kernel(np.eye(space.size), chain.UNIT_VARIABLE, "I")
+    with pytest.raises(sg.spectral.NonErgodicError):
+        mixing.active_start_mixing_time(identity, space)
+
+
+def test_verify_mixing_bounds_does_not_call_exact_mixing_time(asymmetric_rbm, monkeypatch):
+    expected = sg.verify_mixing_bounds(asymmetric_rbm)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("exact_mixing_time called")
+
+    monkeypatch.setattr(mixing, "exact_mixing_time", boom)
+    assert sg.verify_mixing_bounds(asymmetric_rbm) == expected
+
+
+def test_verify_mixing_bounds_truncation_is_an_error(hardcore_k22):
+    with pytest.raises(MixingError, match="truncated"):
+        sg.verify_mixing_bounds(hardcore_k22, t_max=31)
+    assert sg.verify_mixing_bounds(hardcore_k22, t_max=32)["t_mix_ru"] == 32
+
+
+def _renormalize_reference(matrix):
+    matrix = np.maximum(matrix, 0.0)
+    return matrix / matrix.sum(axis=1)[:, None]
+
+
+def _worst_tv_reference(power, pi):
+    return 0.5 * float(np.max(np.abs(power - pi[None, :]).sum(axis=1)))
+
+
+def test_in_place_renormalize_and_readout_are_bit_identical():
+    # The golden record pins lumped mixing times that sit within rounding
+    # of the threshold, so the in-place arithmetic must not move a bit.
+    for n in range(4, 51):
+        space = sg.lumped_state_space(n)
+        for kernel in (sg.lumped_ru_kernel(n, lazy=False), sg.lumped_as_kernel(n)):
+            power = kernel.matrix
+            for _ in range(12):
+                product = power @ power
+                expected = _renormalize_reference(product)
+                power = mixing._renormalize(product)
+                assert power.tobytes() == expected.tobytes(), n
+                tv = _worst_tv_reference(power, space.pi)
+                assert mixing._worst_tv(power, space.pi) == tv
+                assert mixing._worst_tv(power, space.pi, np.empty_like(power)) == tv
+                assert power.tobytes() == expected.tobytes()

@@ -173,6 +173,14 @@ def test_random_model_deterministic():
         assert np.array_equal(ta, tb)
 
 
+def test_random_model_seed_range():
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(sg.ModelError, match=r"seed must be in \[0, 2\^64\)"):
+            sg.random_bipartite_model(2, 2, 3, -1.0, 1.0, seed=seed)
+    for seed in (0, 2 ** 64 - 1):
+        assert len(sg.random_bipartite_model(2, 2, 3, -1.0, 1.0, seed=seed).edges) == 3
+
+
 def test_random_model_large_distinct():
     model = sg.random_bipartite_model(100, 100, 500, 0.1, 0.7, seed=1)
     pairs = {(u, v) for u, v, _ in model.edges}
