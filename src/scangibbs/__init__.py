@@ -7,12 +7,9 @@ from .model import (
     build_dbm,
     build_hardcore_complete_bipartite,
     build_rbm,
-    conditional_distribution,
-    hamiltonian,
     model_from_dict,
     model_from_json,
     random_bipartite_model,
-    unnormalized_weight,
     validate_bipartite,
 )
 from .chain import (
@@ -23,27 +20,20 @@ from .chain import (
     ergodicity_check,
     random_update_kernel,
     reversibilization,
-    scan_kernels,
-    single_site_kernel,
-    stationary_projector,
 )
 from .spectral import (
     SpectralReport,
     deviation_norm,
-    general_operator_norm,
     relaxation_time,
     verify_theorem1,
 )
 from .mixing import (
     MixingReport,
     exact_mixing_time,
-    tv_distance,
     verify_fill_inequality,
     verify_mixing_bounds,
 )
 from .lumped import (
-    hardcore_lump_map,
-    lumpability_check,
     lumped_as_kernel,
     lumped_ru_kernel,
     lumped_state_space,

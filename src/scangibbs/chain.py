@@ -1,8 +1,9 @@
-"""State-space enumeration and exact dense transition kernels.
+"""State-space enumeration, the random-update kernel and the joint table.
 
 Kernels are dense row-stochastic float64 matrices tagged with the time
 unit one application of the matrix represents: a single variable update,
-a half scan of one partition, a full epoch, or a composite operator.
+a half scan of one partition, a full epoch, or a composite operator. The
+alternating scan is analysed on the joint table of the two partitions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .model import (
     HAMILTONIAN_RANGE,
     HamiltonianRangeError,
     validate_bipartite,
-    violates_constraints,
 )
 
 UNIT_VARIABLE = "variable_update"
@@ -196,14 +196,6 @@ def _single_site_sparse(space: StateSpace, x: int) -> sp.csr_array:
     return mat
 
 
-def single_site_kernel(model: BipartiteModel, space: StateSpace, x: int) -> Kernel:
-    """Transition matrix of resampling the single variable x."""
-    if not (0 <= x < model.n):
-        raise ChainError(f"variable {x} out of range")
-    dense = _single_site_sparse(space, x).toarray()
-    return make_kernel(dense, UNIT_VARIABLE, f"T[{x}]")
-
-
 def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
     """Sum over all variables of the single-site kernels."""
     N = space.size
@@ -271,53 +263,6 @@ def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
     return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])
 
 
-def _right_multiply(dense: np.ndarray, sparse_t: sp.csr_array) -> np.ndarray:
-    # dense @ sparse via the transposed product to stay on the fast CSR path
-    return (sparse_t.T @ dense.T).T
-
-
-def scan_kernels(model: BipartiteModel, space: StateSpace) -> dict[str, Kernel]:
-    """Alternating-scan kernels and half-scan factors.
-
-    Returns P_AS (one epoch: all of partition one in ascending index
-    order, then all of partition two), the scan factors P_AS1/P_AS2, and
-    the per-partition lazy random-update kernels P_GS1/P_GS2.
-    """
-    validate_bipartite(model)
-    n1, n = model.n1, model.n
-    N = space.size
-    sparse_ts = [_single_site_sparse(space, x) for x in range(n)]
-
-    def scan_product(indices):
-        prod = sparse_ts[indices[0]].toarray()
-        for x in indices[1:]:
-            prod = _right_multiply(prod, sparse_ts[x])
-        return prod
-
-    p_as1 = scan_product(range(n1))
-    p_as2 = scan_product(range(n1, n))
-    p_as = p_as1 @ p_as2
-
-    def half_gibbs(indices):
-        acc = sp.csr_array((N, N))
-        for x in indices:
-            acc = acc + sparse_ts[x]
-        return 0.5 * np.eye(N) + acc.toarray() / (2 * len(indices))
-
-    return {
-        "P_AS": make_kernel(p_as, UNIT_EPOCH, "P_AS"),
-        "P_AS1": make_kernel(p_as1, UNIT_HALF_EPOCH, "P_AS1"),
-        "P_AS2": make_kernel(p_as2, UNIT_HALF_EPOCH, "P_AS2"),
-        "P_GS1": make_kernel(half_gibbs(range(n1)), UNIT_HALF_EPOCH, "P_GS1"),
-        "P_GS2": make_kernel(half_gibbs(range(n1, n)), UNIT_HALF_EPOCH, "P_GS2"),
-    }
-
-
-def stationary_projector(space: StateSpace) -> Kernel:
-    """Rank-one kernel whose every row is pi."""
-    return Kernel(np.tile(space.pi, (space.size, 1)), UNIT_COMPOSITE, "S_pi")
-
-
 def stationarity_defect(kernel: Kernel, space: StateSpace) -> float:
     return float(np.max(np.abs(space.pi @ kernel.matrix - space.pi)))
 
@@ -371,12 +316,3 @@ def ergodicity_check(kernel: Kernel) -> dict[str, bool]:
 def is_ergodic(kernel: Kernel) -> bool:
     res = ergodicity_check(kernel)
     return res["irreducible"] and res["aperiodic"]
-
-
-def kernel_to_csv(kernel: Kernel, path) -> None:
-    """Dump (row, col, value) triples for entries above 1e-15."""
-    rows, cols = np.nonzero(kernel.matrix > 1e-15)
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{r},{c},{kernel.matrix[r, c]!r}\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -120,49 +119,54 @@ def _samplers(args):
     return names
 
 
-def _kernels_for(mdl, space, samplers, lazy):
-    out = {}
+def _per_sampler(mdl, args, ru, scan):
+    """(sampler, unit, ru(space) or scan(joint table)) per selected sampler, RU first."""
+    space = chain.enumerate_state_space(mdl, cap=args.cap)
+    samplers = _samplers(args)
     if "random_update" in samplers:
-        out["random_update"] = chain.random_update_kernel(mdl, space, lazy=lazy)
+        yield "random_update", chain.UNIT_VARIABLE, ru(space)
     if "alternating_scan" in samplers:
-        out["alternating_scan"] = chain.scan_kernels(mdl, space)["P_AS"]
-    return out
+        yield "alternating_scan", chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))
 
 
 def _spectral_rows(mdl, args):
-    space = chain.enumerate_state_space(mdl, cap=args.cap)
     rows = []
-    for sampler, kernel in _kernels_for(mdl, space, _samplers(args), args.lazy).items():
-        report = spectral.relaxation_time(kernel, space)
+    for sampler, unit, report in _per_sampler(
+        mdl, args,
+        lambda space: spectral.random_update_report(mdl, space, args.lazy),
+        spectral.scan_report,
+    ):
         for metric, value in (
             ("gap", report.gap),
             ("relaxation_time", report.relaxation_time),
             ("second_largest_modulus", report.second_largest_modulus),
             ("reversible", report.reversible),
         ):
-            rows.append(("spectral", mdl.label, sampler, kernel.unit, metric, value))
+            rows.append(("spectral", mdl.label, sampler, unit, metric, value))
     return rows
 
 
 def _mixing_rows(mdl, args):
-    space = chain.enumerate_state_space(mdl, cap=args.cap)
     summary, curve = [], []
-    for sampler, kernel in _kernels_for(mdl, space, _samplers(args), args.lazy).items():
-        report = mixing.exact_mixing_time(
-            kernel, space, threshold=args.threshold, t_max=args.t_max,
-            method=args.mixing_method,
-        )
+    for sampler, unit, report in _per_sampler(
+        mdl, args,
+        lambda space: mixing.exact_mixing_time(
+            chain.random_update_kernel(mdl, space, lazy=args.lazy), space,
+            threshold=args.threshold, t_max=args.t_max, method="doubling",
+        ),
+        lambda table: mixing.scan_mixing_time(table, args.threshold, args.t_max),
+    ):
         value = report.mixing_time if report.mixing_time is not None else "truncated"
-        summary.append(("mixing", mdl.label, sampler, kernel.unit, "mixing_time", value))
-        summary.append(
-            ("mixing", mdl.label, sampler, kernel.unit, "truncated", report.truncated)
-        )
+        summary.append(("mixing", mdl.label, sampler, unit, "mixing_time", value))
+        summary.append(("mixing", mdl.label, sampler, unit, "truncated", report.truncated))
         for t, tv in report.tv_curve:
-            curve.append((mdl.label, sampler, kernel.unit, t, tv))
+            curve.append((mdl.label, sampler, unit, t, tv))
     return summary, curve
 
 
 def _lumped_rows(args):
+    if args.n_min > args.n_max:
+        raise lumped.LumpingError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     summary, curve = [], []
     for n in range(args.n_min, args.n_max + 1):
         space = lumped.lumped_state_space(n)
@@ -224,6 +228,8 @@ def _verify_rows(args):
     if suite == "theorem1":
         if args.seed is None:
             raise model_mod.ModelError("the theorem1 suite requires --seed")
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         rng = np.random.Generator(np.random.Philox(key=model_mod.philox_key(args.seed)))
         for trial in range(args.trials):
             n1 = int(rng.integers(1, 6))
@@ -250,14 +256,14 @@ def _verify_rows(args):
         return rows
     if suite == "fill":
         mdl = _resolve_model(args)
-        space = chain.enumerate_state_space(mdl, cap=args.cap)
-        for sampler, kernel in _kernels_for(
-            mdl, space, _samplers(args), args.lazy
-        ).items():
-            res = mixing.verify_fill_inequality(kernel, space)
-            rows.append(
-                ("verify_fill", mdl.label, sampler, kernel.unit, "holds", res["holds"])
-            )
+        for sampler, unit, res in _per_sampler(
+            mdl, args,
+            lambda space: mixing.verify_fill_inequality(
+                chain.random_update_kernel(mdl, space, lazy=args.lazy), space
+            ),
+            mixing.scan_fill_inequality,
+        ):
+            rows.append(("verify_fill", mdl.label, sampler, unit, "holds", res["holds"]))
         return rows
     raise ValueError(f"unknown verify suite {suite!r}")
 
@@ -308,7 +314,7 @@ def _run_analysis(analysis, args, outputs):
             ("model_id", "sampler", "replicate", "coalescence_updates", "truncated"),
             wide,
         )
-    elif analysis == "verify":
+    elif analysis == "verify" and args.command == "verify":  # run has no --suite
         rows = _verify_rows(args)
         outputs.write_csv(
             f"verify_{args.suite}.csv",
@@ -345,9 +351,6 @@ def _add_common(parser):
         help="comma-separated subset of random_update, alternating_scan",
     )
     parser.add_argument("--lazy", action=argparse.BooleanOptionalAction, default=True)
-    parser.add_argument(
-        "--mixing-method", choices=("iterate", "doubling"), default="doubling"
-    )
     parser.add_argument("--n-min", type=int, default=2)
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--trials", type=int, default=20)
@@ -379,8 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad command line
+        return EXIT_USER_ERROR if exc.code else EXIT_OK
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or os.getcwd()
     outputs = _OutputSet(out_dir)
     if args.command == "run":

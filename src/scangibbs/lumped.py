@@ -123,48 +123,3 @@ def lumped_as_kernel(n: int) -> Kernel:
     for k in range(1, n + 1):
         matrix[lumped_index(n, "R", k)] = row_r
     return make_kernel(matrix, UNIT_EPOCH, f"P_AS_lumped:{n}")
-
-
-def hardcore_lump_map(space: StateSpace, n: int) -> np.ndarray:
-    """Map full hardcore K_{n,n} configurations to lumped indices."""
-    configs = space.configs
-    if configs.shape[1] != 2 * n:
-        raise LumpingError(f"state space is not over 2n={2 * n} variables")
-    k_l = configs[:, :n].sum(axis=1)
-    k_r = configs[:, n:].sum(axis=1)
-    if np.any((k_l > 0) & (k_r > 0)):
-        raise LumpingError("state space contains configurations occupying both sides")
-    return np.where(k_r > 0, n + k_r, k_l).astype(np.int64)
-
-
-def lumpability_check(
-    full_kernel: Kernel, lump_map, tol: float = 1e-12
-) -> bool:
-    """True iff block row sums depend only on the source block."""
-    lump_map = np.asarray(lump_map)
-    if lump_map.shape[0] != full_kernel.size:
-        raise LumpingError("lump map does not cover the full state space")
-    n_blocks = int(lump_map.max()) + 1
-    indicator = np.zeros((full_kernel.size, n_blocks))
-    indicator[np.arange(full_kernel.size), lump_map] = 1.0
-    block_sums = full_kernel.matrix @ indicator
-    for block in range(n_blocks):
-        rows = block_sums[lump_map == block]
-        if rows.shape[0] == 0:
-            raise LumpingError(f"lump map has an empty block {block}")
-        if np.max(np.abs(rows - rows[0])) > tol:
-            return False
-    return True
-
-
-def quotient_kernel(full_kernel: Kernel, lump_map, unit: str, label: str) -> Kernel:
-    """Exact quotient of a lumpable kernel (one row per block)."""
-    if not lumpability_check(full_kernel, lump_map):
-        raise LumpingError("kernel is not lumpable under the given map")
-    lump_map = np.asarray(lump_map)
-    n_blocks = int(lump_map.max()) + 1
-    indicator = np.zeros((full_kernel.size, n_blocks))
-    indicator[np.arange(full_kernel.size), lump_map] = 1.0
-    block_sums = full_kernel.matrix @ indicator
-    reps = [int(np.nonzero(lump_map == b)[0][0]) for b in range(n_blocks)]
-    return make_kernel(block_sums[reps], unit, label)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,9 +19,11 @@ from .chain import Kernel, StateSpace, is_ergodic
 from .model import BipartiteModel
 from .spectral import (
     NonErgodicError,
+    check_scan_ergodic,
     deviation_norm,
-    random_update_slem,
+    random_update_report,
     scan_correlation,
+    scan_report,
 )
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
@@ -42,18 +43,6 @@ class MixingReport:
     unit: str
 
 
-def tv_distance(mu, nu) -> float:
-    """Half the L1 distance between two distributions."""
-    mu = np.asarray(mu, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if mu.shape != nu.shape:
-        raise MixingError(f"length mismatch: {mu.shape} vs {nu.shape}")
-    for name, v in (("mu", mu), ("nu", nu)):
-        if abs(v.sum() - 1.0) > 1e-9:
-            raise MixingError(f"{name} is not normalized: sum {v.sum()}")
-    return 0.5 * float(np.abs(mu - nu).sum())
-
-
 def _abs_deviation(rows: np.ndarray, pi: np.ndarray, out=None) -> np.ndarray:
     """Row sums of |rows - pi|, twice each row's TV distance to pi.
 
@@ -66,6 +55,14 @@ def _abs_deviation(rows: np.ndarray, pi: np.ndarray, out=None) -> np.ndarray:
 
 def _worst_tv(power: np.ndarray, pi: np.ndarray, out=None) -> float:
     return 0.5 * float(np.max(_abs_deviation(power, pi, out)))
+
+
+def _check_search(threshold: float, t_max: int) -> None:
+    """Reject a threshold outside (0, 1) or a t_max below 1."""
+    if not 0.0 < threshold < 1.0:
+        raise MixingError(f"threshold must lie in (0, 1), got {threshold}")
+    if t_max < 1:
+        raise MixingError("t_max must be at least 1")
 
 
 def _renormalize(matrix: np.ndarray) -> np.ndarray:
@@ -88,8 +85,7 @@ def exact_mixing_time(
     brackets the mixing time with repeated squaring and then bisects,
     which is exact because worst-start TV is non-increasing in t.
     """
-    if t_max < 1:
-        raise MixingError("t_max must be at least 1")
+    _check_search(threshold, t_max)
     if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
     if method == "iterate":
@@ -115,12 +111,12 @@ def _mixing_time_iterate(kernel, space, threshold, t_max) -> MixingReport:
     return MixingReport(None, threshold, tuple(curve), True, kernel.unit)
 
 
-def matrix_power(kernel: Kernel, t: int) -> np.ndarray:
-    """Kernel power by binary exponentiation with row renormalization."""
+def matrix_power(matrix: np.ndarray, t: int) -> np.ndarray:
+    """Power of a stochastic matrix by binary exponentiation with row renormalization."""
     if t < 0:
         raise MixingError("negative power")
-    result = np.eye(kernel.size)
-    base = kernel.matrix.copy()
+    result = np.eye(len(matrix))
+    base = matrix.copy()
     while t:
         if t & 1:
             result = _renormalize(result @ base)
@@ -213,8 +209,13 @@ def scan_mixing_time(
     p1; at t = 0 it is 1 - pi_min, as for any kernel. The search is the
     doubling search of exact_mixing_time with that readout.
     """
-    if t_max < 1:
-        raise MixingError("t_max must be at least 1")
+    _check_search(threshold, t_max)
+    check_scan_ergodic(table)
+    return _scan_search(table, threshold, t_max)
+
+
+def _scan_search(table, threshold, t_max) -> MixingReport:
+    """scan_mixing_time with its threshold, t_max and ergodicity checked."""
     p1, a = table.p1, table.cond1
     curve = {0: 1.0 - float(table.joint[table.joint > 0.0].min())}
     if curve[0] > threshold:
@@ -247,8 +248,7 @@ def active_start_mixing_time(
     settled rows only if the bracket is still open; the bisection then
     lifts the remaining rows by the stored squares, largest first.
     """
-    if t_max < 1:
-        raise MixingError("t_max must be at least 1")
+    _check_search(threshold, t_max)
     if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
     pi = space.pi
@@ -296,79 +296,6 @@ def active_start_mixing_time(
     return t + 1 if t + 1 <= t_max else None
 
 
-def rational_ru_kernel(
-    model: BipartiteModel, space: StateSpace, lazy: bool = True
-) -> list[list[Fraction]]:
-    """Exact random-update kernel for models with all-zero soft factors.
-
-    With a uniform stationary distribution every conditional probability
-    is a ratio of support counts, so the kernel is rational.
-    """
-    for (u, v, table) in model.edges:
-        if np.any(np.asarray(table) != 0.0):
-            raise MixingError("rational kernel requires all-zero factor tables")
-    if np.any(model.unaries != 0.0):
-        raise MixingError("rational kernel requires all-zero unary tables")
-    N, n = space.size, space.n_variables
-    S = space.domain_size
-    matrix = [[Fraction(0) for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        config = space.configs[i].copy()
-        for x in range(n):
-            targets = []
-            for s in range(S):
-                flipped = config.copy()
-                flipped[x] = s
-                try:
-                    targets.append(space.index_of(flipped))
-                except chain.ChainError:
-                    pass
-            share = Fraction(1, n * len(targets))
-            for j in targets:
-                matrix[i][j] += share
-    if lazy:
-        for i in range(N):
-            for j in range(N):
-                matrix[i][j] = matrix[i][j] / 2
-            matrix[i][i] += Fraction(1, 2)
-    return matrix
-
-
-def rational_mixing_time(
-    matrix: list[list[Fraction]],
-    pi: list[Fraction],
-    threshold: float = DEFAULT_THRESHOLD,
-    t_max: int = 10 ** 4,
-) -> int:
-    """Mixing time by exact rational powering; intended for tiny chains."""
-    N = len(matrix)
-
-    def worst_tv(power):
-        worst = Fraction(0)
-        for row in power:
-            tv = sum(abs(p - q) for p, q in zip(row, pi)) / 2
-            worst = max(worst, tv)
-        return worst
-
-    identity = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)
-    ]
-    if worst_tv(identity) <= threshold:
-        return 0
-    power = [row[:] for row in matrix]
-    for t in range(1, t_max + 1):
-        if worst_tv(power) <= threshold:
-            return t
-        power = [
-            [
-                sum(power[i][k] * matrix[k][j] for k in range(N))
-                for j in range(N)
-            ]
-            for i in range(N)
-        ]
-    raise MixingError(f"rational powering did not mix within {t_max} steps")
-
-
 def verify_mixing_bounds(
     model: BipartiteModel,
     cap: int = 1024,
@@ -384,18 +311,20 @@ def verify_mixing_bounds(
 
     Only T_mix(RU) needs the dense kernel, searched on the starts not
     yet mixed (active_start_mixing_time); the scan side runs on the
-    joint table (scan_correlation, scan_mixing_time) and T_rel(RU) on
-    the sparse kernel (random_update_slem).
+    joint table (scan_report, scan_mixing_time) and T_rel(RU) on
+    the sparse kernel (random_update_report).
     """
     space = chain.enumerate_state_space(model, cap=cap)
     table = chain.joint_table(model, space)
     pi_min = float(space.pi.min())
 
-    t_rel_ru = 1.0 / (1.0 - random_update_slem(model, space, lazy))
-    t_rel_as = 1.0 / (1.0 - scan_correlation(table))
+    t_rel_ru = random_update_report(model, space, lazy).relaxation_time
+    t_rel_as = scan_report(table).relaxation_time
     p_ru = chain.random_update_kernel(model, space, lazy=lazy)
     t_mix_ru = active_start_mixing_time(p_ru, space, threshold, t_max)
-    mix_as = scan_mixing_time(table, threshold, t_max)
+    # scan_report has checked the scan's ergodicity and
+    # active_start_mixing_time the threshold and t_max.
+    mix_as = _scan_search(table, threshold, t_max)
     if t_mix_ru is None or mix_as.truncated:
         raise MixingError("mixing-time computation truncated; raise t_max")
     t_mix_as = mix_as.mixing_time
@@ -418,11 +347,28 @@ def verify_mixing_bounds(
     }
 
 
+_FILL_T_SAMPLES = (1, 2, 4, 8, 16, 32)
+_FILL_SLACK = 1e-10
+
+
+def _fill_report(contraction, weight, tv_at, t_samples, slack) -> dict:
+    """Margins c^t / pi(x) + slack - TV(P^t(x, .), pi)^2, worst per sampled t.
+
+    weight holds pi(x) of each start x and tv_at(t) its TV distance.
+    """
+    results = {}
+    for t in t_samples:
+        margin = contraction ** t / weight + slack - tv_at(int(t)) ** 2
+        results[int(t)] = float(margin.min())
+    holds = all(worst >= 0.0 for worst in results.values())
+    return {"holds": holds, "worst_margin_by_t": results, "contraction": contraction}
+
+
 def verify_fill_inequality(
     kernel: Kernel,
     space: StateSpace,
-    t_samples=(1, 2, 4, 8, 16, 32),
-    slack: float = 1e-10,
+    t_samples=_FILL_T_SAMPLES,
+    slack: float = _FILL_SLACK,
 ) -> dict:
     """Check TV(P^t(s,.), pi)^2 <= (1 - gap(R(P)))^t / pi(s) at sampled t."""
     if not is_ergodic(kernel):
@@ -430,13 +376,28 @@ def verify_fill_inequality(
     rev = chain.reversibilization(kernel, space)
     contraction = deviation_norm(rev, space)  # equals 1 - gap(R(P))
     pi = space.pi
-    results = {}
-    holds = True
-    for t in t_samples:
-        power = matrix_power(kernel, int(t))
-        tv = 0.5 * np.abs(power - pi[None, :]).sum(axis=1)
-        margin = contraction ** t / pi + slack - tv ** 2
-        worst = float(margin.min())
-        results[int(t)] = worst
-        holds = holds and worst >= 0.0
-    return {"holds": bool(holds), "worst_margin_by_t": results, "contraction": contraction}
+
+    def tv_at(t):
+        return 0.5 * _abs_deviation(matrix_power(kernel.matrix, t), pi)
+
+    return _fill_report(contraction, pi, tv_at, t_samples, slack)
+
+
+def scan_fill_inequality(table: chain.JointTable) -> dict:
+    """verify_fill_inequality of the alternating scan, on the joint table.
+
+    The contraction 1 - gap(R(P_AS)) is rho^2, and the start x = (x1, x2)
+    has TV(P_AS^t(x, .), pi) = TV((A L^(t-1))[x2], p1) (scan_mixing_time),
+    so the margins are taken over the support cells of J.
+    """
+    contraction = scan_correlation(table) ** 2
+    a, p1 = table.cond1, table.p1
+    chain_x1 = table.cond2 @ a
+    _, cols = np.nonzero(table.joint)
+
+    def tv_at(t):
+        return 0.5 * _abs_deviation(a @ matrix_power(chain_x1, t - 1), p1)[cols]
+
+    return _fill_report(
+        contraction, table.joint[table.joint > 0.0], tv_at, _FILL_T_SAMPLES, _FILL_SLACK
+    )

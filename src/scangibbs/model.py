@@ -1,4 +1,4 @@
-"""Bipartite pairwise models: Hamiltonians, conditionals, and constructors.
+"""Bipartite pairwise models: the data model, its checks and constructors.
 
 Variables are indexed 0..n-1 with the first partition occupying indices
 0..n1-1 and the second partition n1..n-1. All built-in constructors produce
@@ -8,8 +8,7 @@ Boolean models, but the data model supports any finite domain size.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +76,6 @@ class BipartiteModel:
     def partition_of(self, x: int) -> int:
         return 0 if x < self.n1 else 1
 
-    @cached_property
-    def incident(self):
-        """Per-variable list of (other endpoint, table, var_is_row)."""
-        inc = [[] for _ in range(self.n)]
-        for (u, v, table) in self.edges:
-            t = np.asarray(table, dtype=float)
-            inc[u].append((v, t, True))
-            inc[v].append((u, t, False))
-        return inc
-
 
 def validate_bipartite(model: BipartiteModel) -> None:
     """Raise BipartiteStructureError listing edges within one partition."""
@@ -99,74 +88,6 @@ def validate_bipartite(model: BipartiteModel) -> None:
         raise BipartiteStructureError(
             f"edges within a single partition: {bad}"
         )
-
-
-def _check_config(model: BipartiteModel, config) -> np.ndarray:
-    config = np.asarray(config)
-    if config.shape != (model.n,):
-        raise ModelError(f"configuration length {config.shape} != ({model.n},)")
-    if config.min() < 0 or config.max() >= model.domain_size:
-        raise ModelError("configuration entry outside the variable domain")
-    return config
-
-
-def hamiltonian(model: BipartiteModel, config) -> float:
-    """Sum of pairwise and unary factor values; ignores hard constraints."""
-    config = _check_config(model, config)
-    h = 0.0
-    for (u, v, table) in model.edges:
-        h += float(table[config[u], config[v]])
-    h += float(model.unaries[np.arange(model.n), config].sum())
-    return h
-
-
-def violates_constraints(model: BipartiteModel, config) -> bool:
-    if model.hard_constraint != "hardcore":
-        return False
-    config = np.asarray(config)
-    return any(config[u] == 1 and config[v] == 1 for (u, v, _) in model.edges)
-
-
-def unnormalized_weight(model: BipartiteModel, config) -> float:
-    """exp(H) on the constrained support, 0 off it."""
-    if violates_constraints(model, config):
-        return 0.0
-    h = hamiltonian(model, config)
-    if abs(h) > HAMILTONIAN_RANGE:
-        raise HamiltonianRangeError(
-            f"hamiltonian out of numeric range: |{h}| > {HAMILTONIAN_RANGE}"
-        )
-    return float(np.exp(h))
-
-
-def conditional_distribution(model: BipartiteModel, config, variable: int) -> np.ndarray:
-    """Distribution of one variable given all others.
-
-    For a bipartite model the result depends only on the opposite
-    partition's sub-configuration.
-    """
-    config = _check_config(model, config)
-    if not (0 <= variable < model.n):
-        raise ModelError(f"variable {variable} out of range")
-    S = model.domain_size
-    if model.hard_constraint is not None:
-        weights = np.empty(S)
-        flipped = config.copy()
-        for s in range(S):
-            flipped[variable] = s
-            weights[s] = unnormalized_weight(model, flipped)
-        total = weights.sum()
-        if total <= 0.0:
-            raise ModelError("all conditional weights zero")
-        return weights / total
-    # Soft model: only incident factors differ across values, so the
-    # ratio reduces to a softmax of local scores.
-    scores = model.unaries[variable].astype(float).copy()
-    for (other, table, var_is_row) in model.incident[variable]:
-        scores += table[:, config[other]] if var_is_row else table[config[other], :]
-    scores -= scores.max()
-    weights = np.exp(scores)
-    return weights / weights.sum()
 
 
 def build_rbm(weights, bias1, bias2, label: str = "rbm") -> BipartiteModel:
@@ -276,6 +197,10 @@ def random_bipartite_model(
     """
     if m > n1 * n2:
         raise ModelError(f"m={m} exceeds the {n1 * n2} available pairs")
+    if not np.isfinite(weight_high - weight_low):
+        raise ModelError(
+            f"weight range [{weight_low}, {weight_high}] must have a finite width"
+        )
     rng = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     pairs = rng.permutation(n1 * n2)[:m]
     weights = rng.uniform(weight_low, weight_high, size=m)

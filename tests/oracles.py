@@ -1,0 +1,301 @@
+"""Full-space oracles that only the tests use.
+
+The library runs the alternating scan on the joint table of the two
+partitions and the random-update spectrum on the sparse kernel. Its
+results are checked against these: the per-configuration Hamiltonian and
+conditionals, the dense single-site and scan kernels, the L2(pi)
+operator norm, the exact rational random-update kernel, the hardcore
+lumping maps and the TV distance of two distributions.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import scipy.sparse as sp
+
+from scangibbs import chain
+from scangibbs.chain import (
+    UNIT_COMPOSITE,
+    UNIT_EPOCH,
+    UNIT_HALF_EPOCH,
+    UNIT_VARIABLE,
+    Kernel,
+    StateSpace,
+    make_kernel,
+)
+from scangibbs.lumped import LumpingError
+from scangibbs.mixing import DEFAULT_THRESHOLD, MixingError
+from scangibbs.model import (
+    HAMILTONIAN_RANGE,
+    BipartiteModel,
+    HamiltonianRangeError,
+    ModelError,
+    validate_bipartite,
+)
+from scangibbs.spectral import _conjugate
+
+
+def _check_config(model: BipartiteModel, config) -> np.ndarray:
+    config = np.asarray(config)
+    if config.shape != (model.n,):
+        raise ModelError(f"configuration length {config.shape} != ({model.n},)")
+    if config.min() < 0 or config.max() >= model.domain_size:
+        raise ModelError("configuration entry outside the variable domain")
+    return config
+
+
+def hamiltonian(model: BipartiteModel, config) -> float:
+    """Sum of pairwise and unary factor values; ignores hard constraints."""
+    config = _check_config(model, config)
+    h = 0.0
+    for (u, v, table) in model.edges:
+        h += float(table[config[u], config[v]])
+    h += float(model.unaries[np.arange(model.n), config].sum())
+    return h
+
+
+def violates_constraints(model: BipartiteModel, config) -> bool:
+    if model.hard_constraint != "hardcore":
+        return False
+    config = np.asarray(config)
+    return any(config[u] == 1 and config[v] == 1 for (u, v, _) in model.edges)
+
+
+def unnormalized_weight(model: BipartiteModel, config) -> float:
+    """exp(H) on the constrained support, 0 off it."""
+    if violates_constraints(model, config):
+        return 0.0
+    h = hamiltonian(model, config)
+    if abs(h) > HAMILTONIAN_RANGE:
+        raise HamiltonianRangeError(
+            f"hamiltonian out of numeric range: |{h}| > {HAMILTONIAN_RANGE}"
+        )
+    return float(np.exp(h))
+
+
+def conditional_distribution(model: BipartiteModel, config, variable: int) -> np.ndarray:
+    """Distribution of one variable given all others.
+
+    For a bipartite model the result depends only on the opposite
+    partition's sub-configuration.
+    """
+    config = _check_config(model, config)
+    if not (0 <= variable < model.n):
+        raise ModelError(f"variable {variable} out of range")
+    S = model.domain_size
+    if model.hard_constraint is not None:
+        weights = np.empty(S)
+        flipped = config.copy()
+        for s in range(S):
+            flipped[variable] = s
+            weights[s] = unnormalized_weight(model, flipped)
+        total = weights.sum()
+        if total <= 0.0:
+            raise ModelError("all conditional weights zero")
+        return weights / total
+    # Soft model: only incident factors differ across values, so the
+    # ratio reduces to a softmax of local scores.
+    scores = model.unaries[variable].astype(float).copy()
+    for (u, v, table) in model.edges:
+        table = np.asarray(table, dtype=float)
+        if u == variable:
+            scores += table[:, config[v]]
+        elif v == variable:
+            scores += table[config[u], :]
+    scores -= scores.max()
+    weights = np.exp(scores)
+    return weights / weights.sum()
+
+
+def single_site_kernel(model: BipartiteModel, space: StateSpace, x: int) -> Kernel:
+    """Transition matrix of resampling the single variable x."""
+    if not (0 <= x < model.n):
+        raise chain.ChainError(f"variable {x} out of range")
+    dense = chain._single_site_sparse(space, x).toarray()
+    return make_kernel(dense, UNIT_VARIABLE, f"T[{x}]")
+
+
+def _right_multiply(dense: np.ndarray, sparse_t: sp.csr_array) -> np.ndarray:
+    # dense @ sparse via the transposed product to stay on the fast CSR path
+    return (sparse_t.T @ dense.T).T
+
+
+def scan_kernels(model: BipartiteModel, space: StateSpace) -> dict[str, Kernel]:
+    """Alternating-scan kernels and half-scan factors.
+
+    Returns P_AS (one epoch: all of partition one in ascending index
+    order, then all of partition two), the scan factors P_AS1/P_AS2, and
+    the per-partition lazy random-update kernels P_GS1/P_GS2.
+    """
+    validate_bipartite(model)
+    n1, n = model.n1, model.n
+    N = space.size
+    sparse_ts = [chain._single_site_sparse(space, x) for x in range(n)]
+
+    def scan_product(indices):
+        prod = sparse_ts[indices[0]].toarray()
+        for x in indices[1:]:
+            prod = _right_multiply(prod, sparse_ts[x])
+        return prod
+
+    p_as1 = scan_product(range(n1))
+    p_as2 = scan_product(range(n1, n))
+    p_as = p_as1 @ p_as2
+
+    def half_gibbs(indices):
+        acc = sp.csr_array((N, N))
+        for x in indices:
+            acc = acc + sparse_ts[x]
+        return 0.5 * np.eye(N) + acc.toarray() / (2 * len(indices))
+
+    return {
+        "P_AS": make_kernel(p_as, UNIT_EPOCH, "P_AS"),
+        "P_AS1": make_kernel(p_as1, UNIT_HALF_EPOCH, "P_AS1"),
+        "P_AS2": make_kernel(p_as2, UNIT_HALF_EPOCH, "P_AS2"),
+        "P_GS1": make_kernel(half_gibbs(range(n1)), UNIT_HALF_EPOCH, "P_GS1"),
+        "P_GS2": make_kernel(half_gibbs(range(n1, n)), UNIT_HALF_EPOCH, "P_GS2"),
+    }
+
+
+def stationary_projector(space: StateSpace) -> Kernel:
+    """Rank-one kernel whose every row is pi."""
+    return Kernel(np.tile(space.pi, (space.size, 1)), UNIT_COMPOSITE, "S_pi")
+
+
+def general_operator_norm(operator, space: StateSpace) -> float:
+    """L2(pi) operator norm (largest singular value); no symmetry needed."""
+    matrix = operator.matrix if isinstance(operator, Kernel) else np.asarray(operator)
+    m = _conjugate(matrix, space.pi)
+    gram = m.T @ m
+    eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    return float(np.sqrt(max(eigs.max(), 0.0)))
+
+
+def rational_ru_kernel(
+    model: BipartiteModel, space: StateSpace, lazy: bool = True
+) -> list[list[Fraction]]:
+    """Exact random-update kernel for models with all-zero soft factors.
+
+    With a uniform stationary distribution every conditional probability
+    is a ratio of support counts, so the kernel is rational.
+    """
+    for (u, v, table) in model.edges:
+        if np.any(np.asarray(table) != 0.0):
+            raise MixingError("rational kernel requires all-zero factor tables")
+    if np.any(model.unaries != 0.0):
+        raise MixingError("rational kernel requires all-zero unary tables")
+    N, n = space.size, space.n_variables
+    S = space.domain_size
+    matrix = [[Fraction(0) for _ in range(N)] for _ in range(N)]
+    for i in range(N):
+        config = space.configs[i].copy()
+        for x in range(n):
+            targets = []
+            for s in range(S):
+                flipped = config.copy()
+                flipped[x] = s
+                try:
+                    targets.append(space.index_of(flipped))
+                except chain.ChainError:
+                    pass
+            share = Fraction(1, n * len(targets))
+            for j in targets:
+                matrix[i][j] += share
+    if lazy:
+        for i in range(N):
+            for j in range(N):
+                matrix[i][j] = matrix[i][j] / 2
+            matrix[i][i] += Fraction(1, 2)
+    return matrix
+
+
+def rational_mixing_time(
+    matrix: list[list[Fraction]],
+    pi: list[Fraction],
+    threshold: float = DEFAULT_THRESHOLD,
+    t_max: int = 10 ** 4,
+) -> int:
+    """Mixing time by exact rational powering; intended for tiny chains."""
+    N = len(matrix)
+
+    def worst_tv(power):
+        worst = Fraction(0)
+        for row in power:
+            tv = sum(abs(p - q) for p, q in zip(row, pi)) / 2
+            worst = max(worst, tv)
+        return worst
+
+    identity = [
+        [Fraction(1) if i == j else Fraction(0) for j in range(N)] for i in range(N)
+    ]
+    if worst_tv(identity) <= threshold:
+        return 0
+    power = [row[:] for row in matrix]
+    for t in range(1, t_max + 1):
+        if worst_tv(power) <= threshold:
+            return t
+        power = [
+            [
+                sum(power[i][k] * matrix[k][j] for k in range(N))
+                for j in range(N)
+            ]
+            for i in range(N)
+        ]
+    raise MixingError(f"rational powering did not mix within {t_max} steps")
+
+
+def hardcore_lump_map(space: StateSpace, n: int) -> np.ndarray:
+    """Map full hardcore K_{n,n} configurations to lumped indices."""
+    configs = space.configs
+    if configs.shape[1] != 2 * n:
+        raise LumpingError(f"state space is not over 2n={2 * n} variables")
+    k_l = configs[:, :n].sum(axis=1)
+    k_r = configs[:, n:].sum(axis=1)
+    if np.any((k_l > 0) & (k_r > 0)):
+        raise LumpingError("state space contains configurations occupying both sides")
+    return np.where(k_r > 0, n + k_r, k_l).astype(np.int64)
+
+
+def lumpability_check(
+    full_kernel: Kernel, lump_map, tol: float = 1e-12
+) -> bool:
+    """True iff block row sums depend only on the source block."""
+    lump_map = np.asarray(lump_map)
+    if lump_map.shape[0] != full_kernel.size:
+        raise LumpingError("lump map does not cover the full state space")
+    n_blocks = int(lump_map.max()) + 1
+    indicator = np.zeros((full_kernel.size, n_blocks))
+    indicator[np.arange(full_kernel.size), lump_map] = 1.0
+    block_sums = full_kernel.matrix @ indicator
+    for block in range(n_blocks):
+        rows = block_sums[lump_map == block]
+        if rows.shape[0] == 0:
+            raise LumpingError(f"lump map has an empty block {block}")
+        if np.max(np.abs(rows - rows[0])) > tol:
+            return False
+    return True
+
+
+def quotient_kernel(full_kernel: Kernel, lump_map, unit: str, label: str) -> Kernel:
+    """Exact quotient of a lumpable kernel (one row per block)."""
+    if not lumpability_check(full_kernel, lump_map):
+        raise LumpingError("kernel is not lumpable under the given map")
+    lump_map = np.asarray(lump_map)
+    n_blocks = int(lump_map.max()) + 1
+    indicator = np.zeros((full_kernel.size, n_blocks))
+    indicator[np.arange(full_kernel.size), lump_map] = 1.0
+    block_sums = full_kernel.matrix @ indicator
+    reps = [int(np.nonzero(lump_map == b)[0][0]) for b in range(n_blocks)]
+    return make_kernel(block_sums[reps], unit, label)
+
+
+def tv_distance(mu, nu) -> float:
+    """Half the L1 distance between two distributions."""
+    mu = np.asarray(mu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    if mu.shape != nu.shape:
+        raise MixingError(f"length mismatch: {mu.shape} vs {nu.shape}")
+    for name, v in (("mu", mu), ("nu", nu)):
+        if abs(v.sum() - 1.0) > 1e-9:
+            raise MixingError(f"{name} is not normalized: sum {v.sum()}")
+    return 0.5 * float(np.abs(mu - nu).sum())

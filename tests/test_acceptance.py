@@ -16,6 +16,17 @@ import pytest
 import scangibbs as sg
 from scangibbs import chain, cli, coupling, lumped, mixing, spectral
 
+from oracles import (
+    hardcore_lump_map,
+    lumpability_check,
+    quotient_kernel,
+    rational_mixing_time,
+    rational_ru_kernel,
+    scan_kernels,
+    single_site_kernel,
+    stationary_projector,
+)
+
 
 @pytest.fixture
 def report(capfd):
@@ -62,19 +73,23 @@ def theorem_suite():
     for mdl in _suite_models():
         space = sg.enumerate_state_space(mdl, cap=4096)
         p_ru = sg.random_update_kernel(mdl, space, lazy=True)
-        p_as = sg.scan_kernels(mdl, space)["P_AS"]
-        ru_norm = sg.deviation_norm(p_ru, space)
-        rev_ru = chain.reversibilization(p_ru, space)
-        rev_ru_norm = sg.deviation_norm(rev_ru, space)
-        rev_as = chain.reversibilization(p_as, space)
-        rev_as_norm = sg.deviation_norm(rev_as, space)
-        t_rel_ru = sg.relaxation_time(p_ru, space).relaxation_time
-        t_rel_as = sg.relaxation_time(p_as, space).relaxation_time
+        p_as = scan_kernels(mdl, space)["P_AS"]
+        # Each dense value is computed once: relaxation_time already holds
+        # ||P_RU - S_pi|| and, for a non-reversible P_AS, ||R(P_AS) - S_pi||.
+        ru = sg.relaxation_time(p_ru, space)
+        assert ru.reversible, mdl.label
+        ru_norm = ru.second_largest_modulus
+        rev_ru_norm = sg.deviation_norm(chain.reversibilization(p_ru, space), space)
+        as_ = sg.relaxation_time(p_as, space)
+        if as_.reversible:
+            rev_as_norm = sg.deviation_norm(chain.reversibilization(p_as, space), space)
+        else:
+            rev_as_norm = as_.second_largest_modulus
         results.append(
             {
                 "label": mdl.label,
-                "t_rel_ru": t_rel_ru,
-                "t_rel_as": t_rel_as,
+                "t_rel_ru": ru.relaxation_time,
+                "t_rel_as": as_.relaxation_time,
                 "contraction_lhs": rev_as_norm,
                 "contraction_rhs": ru_norm ** 2,
                 # inverse-gap form vs the reversibilization form, both on
@@ -130,10 +145,10 @@ def test_criterion_03_operator_identities(report):
     worst = 0.0
     for mdl in models:
         space = sg.enumerate_state_space(mdl, cap=256)
-        ts = [sg.single_site_kernel(mdl, space, x).matrix for x in range(mdl.n)]
-        k = sg.scan_kernels(mdl, space)
+        ts = [single_site_kernel(mdl, space, x).matrix for x in range(mdl.n)]
+        k = scan_kernels(mdl, space)
         p_ru = sg.random_update_kernel(mdl, space, lazy=True)
-        s = sg.stationary_projector(space).matrix
+        s = stationary_projector(space).matrix
         a1, a2, p_as = k["P_AS1"].matrix, k["P_AS2"].matrix, k["P_AS"].matrix
         g1, g2 = k["P_GS1"].matrix, k["P_GS2"].matrix
         p_as_star = sg.adjoint(k["P_AS"], space).matrix
@@ -209,10 +224,10 @@ def test_criterion_05_mixing_bounds_and_rational_oracle(report):
     float_mix = sg.exact_mixing_time(
         sg.random_update_kernel(k22, space, lazy=True), space, method="iterate"
     ).mixing_time
-    exact_kernel = mixing.rational_ru_kernel(k22, space, lazy=True)
+    exact_kernel = rational_ru_kernel(k22, space, lazy=True)
     from fractions import Fraction
 
-    exact_mix = mixing.rational_mixing_time(
+    exact_mix = rational_mixing_time(
         exact_kernel, [Fraction(1, 7)] * 7
     )
     oracle_ok = float_mix == exact_mix
@@ -226,6 +241,7 @@ def test_criterion_05_mixing_bounds_and_rational_oracle(report):
 def test_criterion_06_tv_decay_inequality(report):
     rng = np.random.default_rng(606)
     worst = 0.0
+    agree = True
     for _ in range(20):
         n1 = int(rng.integers(1, 4))
         n2 = int(rng.integers(1, 4))
@@ -236,7 +252,7 @@ def test_criterion_06_tv_decay_inequality(report):
         space = sg.enumerate_state_space(mdl)
         kernels = [
             sg.random_update_kernel(mdl, space, lazy=True),
-            sg.scan_kernels(mdl, space)["P_AS"],
+            scan_kernels(mdl, space)["P_AS"],
         ]
         for kernel in kernels:
             res = sg.verify_fill_inequality(
@@ -247,7 +263,17 @@ def test_criterion_06_tv_decay_inequality(report):
             )
             if not res["holds"]:
                 report(6, False, f"violated on {mdl.label} / {kernel.label}")
-    report(6, worst >= -1e-10, f"20 instances, worst margin {worst:.2e}")
+        # res is the dense P_AS check; the two-block scan check must match it
+        scan = mixing.scan_fill_inequality(chain.joint_table(mdl, space))
+        agree = agree and scan["holds"] == res["holds"] and all(
+            scan["worst_margin_by_t"][t] == pytest.approx(margin, rel=1e-12, abs=1e-14)
+            for t, margin in res["worst_margin_by_t"].items()
+        )
+    report(
+        6, worst >= -1e-10 and agree,
+        f"20 instances, worst margin {worst:.2e}; "
+        f"scan_fill_inequality matches the dense P_AS margins: {agree}",
+    )
 
 
 @pytest.fixture(scope="module")
@@ -284,13 +310,13 @@ def test_criterion_07b_lumpability_exact(report):
     for n in (2, 3, 4):
         mdl = sg.build_hardcore_complete_bipartite(n)
         space = sg.enumerate_state_space(mdl)
-        lm = sg.hardcore_lump_map(space, n)
+        lm = hardcore_lump_map(space, n)
         p_ru = sg.random_update_kernel(mdl, space, lazy=False)
-        p_as = sg.scan_kernels(mdl, space)["P_AS"]
-        if not (sg.lumpability_check(p_ru, lm) and sg.lumpability_check(p_as, lm)):
+        p_as = scan_kernels(mdl, space)["P_AS"]
+        if not (lumpability_check(p_ru, lm) and lumpability_check(p_as, lm)):
             report("7b", False, f"lumpability fails at n={n}")
-        q_ru = lumped.quotient_kernel(p_ru, lm, chain.UNIT_VARIABLE, "q")
-        q_as = lumped.quotient_kernel(p_as, lm, chain.UNIT_EPOCH, "q")
+        q_ru = quotient_kernel(p_ru, lm, chain.UNIT_VARIABLE, "q")
+        q_as = quotient_kernel(p_as, lm, chain.UNIT_EPOCH, "q")
         dev_ru = np.max(np.abs(q_ru.matrix - lumped.lumped_ru_kernel(n, lazy=False).matrix))
         dev_as = np.max(np.abs(q_as.matrix - lumped.lumped_as_kernel(n).matrix))
         if max(dev_ru, dev_as) > 1e-12:
@@ -335,8 +361,8 @@ def test_criterion_08_zero_weight_closed_forms(report):
         space = sg.enumerate_state_space(mdl)
         ru = sg.relaxation_time(sg.random_update_kernel(mdl, space, lazy=True), space)
         worst_gap = max(worst_gap, abs(ru.gap - 1.0 / (2.0 * n)))
-        p_as = sg.scan_kernels(mdl, space)["P_AS"]
-        s = sg.stationary_projector(space).matrix
+        p_as = scan_kernels(mdl, space)["P_AS"]
+        s = stationary_projector(space).matrix
         worst_proj = max(worst_proj, float(np.max(np.abs(p_as.matrix - s))))
         worst_trel = max(
             worst_trel, abs(sg.relaxation_time(p_as, space).relaxation_time - 1.0)

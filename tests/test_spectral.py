@@ -9,6 +9,8 @@ import scangibbs as sg
 from scangibbs import chain, mixing, spectral
 from scangibbs.spectral import NonErgodicError
 
+from oracles import general_operator_norm, scan_kernels, stationary_projector
+
 
 @pytest.fixture(scope="module")
 def k22(hardcore_k22):
@@ -18,7 +20,7 @@ def k22(hardcore_k22):
 
 def test_deviation_norm_projector_is_zero(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
-    s_pi = sg.stationary_projector(space)
+    s_pi = stationary_projector(space)
     assert sg.deviation_norm(s_pi, space) <= 1e-12
 
 
@@ -30,7 +32,7 @@ def test_deviation_norm_identity_is_one(zero_rbm_22):
 
 def test_deviation_norm_rejects_non_symmetric(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
-    p_as = sg.scan_kernels(asymmetric_rbm, space)["P_AS"]
+    p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
     with pytest.raises(chain.NumericalError, match="asymmetry"):
         sg.deviation_norm(p_as, space)
 
@@ -38,17 +40,26 @@ def test_deviation_norm_rejects_non_symmetric(asymmetric_rbm):
 def test_general_norm_matches_deviation_norm_when_symmetric(k22):
     model, space = k22
     p = sg.random_update_kernel(model, space, lazy=True)
-    s = sg.stationary_projector(space).matrix
-    assert sg.general_operator_norm(p.matrix - s, space) == pytest.approx(
+    s = stationary_projector(space).matrix
+    assert general_operator_norm(p.matrix - s, space) == pytest.approx(
         sg.deviation_norm(p, space), abs=1e-12
     )
 
 
+def test_scan_deviation_norm_is_the_maximal_correlation(engine_models):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p_as = scan_kernels(model, space)["P_AS"]
+        norm = general_operator_norm(p_as.matrix - stationary_projector(space).matrix, space)
+        rho = spectral.scan_correlation(chain.joint_table(model, space))
+        assert norm == pytest.approx(rho, rel=1e-12, abs=1e-14), model.label
+
+
 def test_general_norm_stochastic_kernel_is_one(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
-    k = sg.scan_kernels(asymmetric_rbm, space)
+    k = scan_kernels(asymmetric_rbm, space)
     for name in ("P_AS1", "P_AS2", "P_AS"):
-        assert sg.general_operator_norm(k[name], space) == pytest.approx(
+        assert general_operator_norm(k[name], space) == pytest.approx(
             1.0, abs=1e-10
         )
 
@@ -65,9 +76,32 @@ def test_relaxation_zero_weight_lazy_closed_form():
 
 def test_relaxation_zero_weight_scan_is_instant(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
-    p_as = sg.scan_kernels(zero_rbm_22, space)["P_AS"]
+    p_as = scan_kernels(zero_rbm_22, space)["P_AS"]
     report = sg.relaxation_time(p_as, space)
     assert report.relaxation_time == pytest.approx(1.0, abs=1e-9)
+
+
+def test_scan_report_nearly_independent_is_not_reversible(zero_rbm_22):
+    # Weights of 1e-9 make rho about 5e-10: P_AS meets detailed balance to
+    # the dense check's 1e-10, yet it is not S_pi, so it is not reversible
+    # and t_rel = 1 / (1 - rho), not the 1 / (1 - SLEM(P_AS)) of the dense
+    # reversible formula.
+    zero_space = sg.enumerate_state_space(zero_rbm_22)
+    zero = spectral.scan_report(chain.joint_table(zero_rbm_22, zero_space))
+    assert zero.reversible and zero.relaxation_time == pytest.approx(1.0, abs=1e-15)
+    model = sg.build_rbm(np.full((2, 2), 1e-9), np.array([0.3, -0.2]), np.array([0.1, 0.5]))
+    space = sg.enumerate_state_space(model)
+    table = chain.joint_table(model, space)
+    rho = spectral.scan_correlation(table)
+    assert rho == pytest.approx(4.881625538e-10, rel=1e-6)
+    p_as = scan_kernels(model, space)["P_AS"]
+    assert chain.is_reversible(p_as, space)
+    report = spectral.scan_report(table)
+    assert not report.reversible
+    assert report.relaxation_time == 1.0 / (1.0 - rho)
+    assert report.second_largest_modulus == rho ** 2
+    rev_norm = sg.deviation_norm(chain.reversibilization(p_as, space), space)
+    assert rev_norm == pytest.approx(report.second_largest_modulus, abs=1e-15)
 
 
 def test_relaxation_hardcore_k22_frozen_values(k22):
@@ -85,7 +119,7 @@ def test_relaxation_hardcore_k22_frozen_values(k22):
 
 def test_relaxation_hardcore_k22_scan(k22):
     model, space = k22
-    report = sg.relaxation_time(sg.scan_kernels(model, space)["P_AS"], space)
+    report = sg.relaxation_time(scan_kernels(model, space)["P_AS"], space)
     assert not report.reversible
     assert report.method == "multiplicative_reversibilization"
     assert report.second_largest_modulus == pytest.approx(9 / 16, abs=1e-9)
@@ -94,7 +128,7 @@ def test_relaxation_hardcore_k22_scan(k22):
 
 def test_relaxation_time_consistency_formula(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
-    p_as = sg.scan_kernels(asymmetric_rbm, space)["P_AS"]
+    p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
     report = sg.relaxation_time(p_as, space)
     slm = report.second_largest_modulus
     assert report.relaxation_time == pytest.approx(1.0 / (1.0 - math.sqrt(slm)))
@@ -138,7 +172,7 @@ def test_verify_theorem1_nonlazy_contraction_can_use_nonlazy_norm(hardcore_k22):
 def _dense_theorem1(model, lazy):
     space = sg.enumerate_state_space(model)
     p_ru = sg.random_update_kernel(model, space, lazy=lazy)
-    p_as = sg.scan_kernels(model, space)["P_AS"]
+    p_as = scan_kernels(model, space)["P_AS"]
     return {
         "t_rel_as": sg.relaxation_time(p_as, space).relaxation_time,
         "t_rel_ru": sg.relaxation_time(p_ru, space).relaxation_time,
@@ -174,13 +208,15 @@ def test_scan_correlation_rejects_disconnected_support():
     # x1 == x2 is forced: the scan never leaves its start
     table = np.eye(2) / 2
     joint = chain.JointTable(table, table.sum(1), table.sum(0), np.eye(2), np.eye(2))
-    with pytest.raises(NonErgodicError):
-        spectral.scan_correlation(joint)
+    for analysis in (spectral.scan_correlation, spectral.scan_report,
+                     mixing.scan_mixing_time, mixing.scan_fill_inequality):
+        with pytest.raises(NonErgodicError):
+            analysis(joint)
 
 
 def test_sparse_slem_rejects_non_reversible(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
-    p_as = sg.scan_kernels(asymmetric_rbm, space)["P_AS"]
+    p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
     with pytest.raises(chain.NumericalError, match="detailed balance"):
         spectral.sparse_deviation_norm(sp.csr_array(p_as.matrix), space)
 
@@ -195,9 +231,9 @@ def test_verifiers_use_no_dense_scan_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("dense scan path called")
 
-    for module, name in ((chain, "scan_kernels"), (chain, "reversibilization"),
-                         (spectral, "reversibilization"), (spectral, "deviation_norm"),
-                         (spectral, "relaxation_time"), (mixing, "deviation_norm")):
+    for module, name in ((chain, "reversibilization"), (spectral, "reversibilization"),
+                         (spectral, "deviation_norm"), (spectral, "relaxation_time"),
+                         (mixing, "deviation_norm")):
         monkeypatch.setattr(module, name, forbidden)
     model = sg.random_bipartite_model(5, 5, 20, -1.0, 1.0, seed=3)
     assert sg.verify_mixing_bounds(model)["all_hold"]
@@ -222,3 +258,17 @@ def test_sparse_slem_sees_the_negative_end(size):
     dense = sg.deviation_norm(chain.Kernel(matrix.toarray(), chain.UNIT_COMPOSITE, "P"), space)
     assert dense == pytest.approx(0.96)
     assert spectral.sparse_deviation_norm(matrix, space) == pytest.approx(dense, rel=1e-12)
+
+
+def test_sparse_slem_converges_on_a_zero_cluster():
+    # The non-lazy kernel of this 128-state model has several eigenvalues
+    # at exactly 0 after deflation, where ARPACK's relative tolerance
+    # cannot be met unless the spectrum is shifted.
+    model = sg.random_bipartite_model(2, 5, 1, -2.0, 2.0, seed=467056584360792720)
+    space = sg.enumerate_state_space(model)
+    assert space.size > spectral._DENSE_EIGEN_MAX
+    dense = sg.deviation_norm(sg.random_update_kernel(model, space, lazy=False), space)
+    sparse = spectral.sparse_deviation_norm(
+        chain.random_update_sparse(model, space, lazy=False), space)
+    assert sparse == pytest.approx(dense, rel=1e-12)
+    assert sg.verify_theorem1(model, lazy=False)["holds"]
