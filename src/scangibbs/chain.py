@@ -106,17 +106,21 @@ class Kernel:
         return self.matrix.shape[0]
 
 
+def _check_stochastic(low: float, sums: np.ndarray) -> None:
+    """Raise if the least entry is below -_NEGATIVE_TOL or a row sum is off 1."""
+    if low < -_NEGATIVE_TOL:
+        raise NumericalError(f"kernel entry {low} below the negative tolerance")
+    drift = float(np.max(np.abs(sums - 1.0)))
+    if drift > _ROW_SUM_TOL:
+        raise NumericalError(f"row sums deviate from 1 by {drift}")
+
+
 def _finalize(matrix: np.ndarray) -> np.ndarray:
     """Clamp tiny negatives and renormalize rows; large drift is an error."""
     low = matrix.min()
-    if low < -_NEGATIVE_TOL:
-        raise NumericalError(f"kernel entry {low} below the negative tolerance")
     matrix = np.maximum(matrix, 0.0)
     sums = matrix.sum(axis=1)
-    if np.max(np.abs(sums - 1.0)) > _ROW_SUM_TOL:
-        raise NumericalError(
-            f"row sums deviate from 1 by {np.max(np.abs(sums - 1.0))}"
-        )
+    _check_stochastic(low, sums)
     return matrix / sums[:, None]
 
 
@@ -185,24 +189,38 @@ def _single_site_probs(space: StateSpace, x: int):
     return targets, probs
 
 
-def _single_site_sparse(space: StateSpace, x: int) -> sp.csr_array:
-    targets, probs = _single_site_probs(space, x)
-    N, S = probs.shape
-    rows = np.repeat(np.arange(N), S)
-    mat = sp.csr_array(
-        (probs.ravel(), (rows, targets.ravel())), shape=(N, N)
-    )
-    mat.sum_duplicates()
-    return mat
-
-
 def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
-    """Sum over all variables of the single-site kernels."""
+    """Sum over all variables of the single-site kernels, built in one pass.
+
+    A move of variable x changes x alone, so each off-diagonal entry
+    comes from one site. The diagonal adds the holding probabilities in
+    site order, so every entry equals the sum of the single-site kernels
+    taken one after another, bit for bit.
+    """
     N = space.size
-    acc = sp.csr_array((N, N))
+    states = np.arange(N)
+    rows, cols, probs = [], [], []
+    diagonal = np.zeros(N)
     for x in range(model.n):
-        acc = acc + _single_site_sparse(space, x)
-    return acc
+        targets, site = _single_site_probs(space, x)
+        held = space.configs[:, x]
+        diagonal = diagonal + site[states, held]
+        moves = site > 0.0
+        moves[states, held] = False
+        r, s = np.nonzero(moves)
+        rows.append(r)
+        cols.append(targets[r, s])
+        probs.append(site[r, s])
+    kept = np.flatnonzero(diagonal)
+    rows.append(kept)
+    cols.append(kept)
+    probs.append(diagonal[kept])
+    matrix = sp.csr_array(
+        (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(N, N),
+    )
+    matrix.sum_duplicates()
+    return matrix
 
 
 def random_update_kernel(
@@ -221,11 +239,16 @@ def random_update_kernel(
 def random_update_sparse(
     model: BipartiteModel, space: StateSpace, lazy: bool = True
 ) -> sp.csr_array:
-    """The random-update kernel as a sparse matrix, at most n(S-1)+1 entries a row."""
+    """The random-update kernel as a sparse matrix, at most n(S-1)+1 entries a row.
+
+    It gets the checks of make_kernel but no renormalization.
+    """
     matrix = _site_sum(model, space) / model.n
     if lazy:
         matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
-    return sp.csr_array(matrix)
+    matrix = sp.csr_array(matrix)
+    _check_stochastic(matrix.min(), matrix.sum(axis=1))
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -299,20 +322,22 @@ def is_reversible(kernel: Kernel, space: StateSpace, tol: float = _STATIONARITY_
     return detailed_balance_violation(kernel, space) <= tol
 
 
-def ergodicity_check(kernel: Kernel) -> dict[str, bool]:
+def ergodicity_check(kernel: Kernel | sp.csr_array) -> dict[str, bool]:
     """Irreducibility via strong connectivity; aperiodicity via self-loops.
 
-    A positive diagonal entry suffices for aperiodicity of an
-    irreducible chain, which covers every kernel built here.
+    Takes a Kernel or a sparse transition matrix. A positive diagonal
+    entry suffices for aperiodicity of an irreducible chain, which
+    covers every kernel built here.
     """
-    support = sp.csr_array(kernel.matrix > 0.0)
+    matrix = kernel.matrix if isinstance(kernel, Kernel) else kernel
+    support = sp.csr_array(matrix > 0.0)
     n_comp, _ = connected_components(support, directed=True, connection="strong")
     return {
         "irreducible": bool(n_comp == 1),
-        "aperiodic": bool(np.any(np.diag(kernel.matrix) > 0.0)),
+        "aperiodic": bool(np.any(support.diagonal())),
     }
 
 
-def is_ergodic(kernel: Kernel) -> bool:
+def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
     res = ergodicity_check(kernel)
     return res["irreducible"] and res["aperiodic"]

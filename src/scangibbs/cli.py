@@ -133,7 +133,8 @@ def _spectral_rows(mdl, args):
     rows = []
     for sampler, unit, report in _per_sampler(
         mdl, args,
-        lambda space: spectral.random_update_report(mdl, space, args.lazy),
+        lambda space: spectral.random_update_report(
+            chain.random_update_sparse(mdl, space, args.lazy), space),
         spectral.scan_report,
     ):
         for metric, value in (

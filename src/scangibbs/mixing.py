@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import chain
 from .chain import Kernel, StateSpace, is_ergodic
@@ -24,6 +25,7 @@ from .spectral import (
     random_update_report,
     scan_correlation,
     scan_report,
+    symmetric_form,
 )
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
@@ -230,13 +232,47 @@ def _scan_search(table, threshold, t_max) -> MixingReport:
     )
 
 
+def _clamp(matrix: np.ndarray) -> np.ndarray:
+    """Clamp the negatives of a fresh product to 0, in place."""
+    return np.maximum(matrix, 0.0, out=matrix)
+
+
+def _symmetric_square(square) -> np.ndarray:
+    """S^(2s) from the symmetric S^s, clamped and exactly symmetric.
+
+    The sparse S is squared as a sparse product; a dense power as
+    square @ square.T, which numpy sends to BLAS syrk: half the flops
+    of a general product, and a symmetric result.
+    """
+    if sp.issparse(square):
+        return _clamp((square @ square).toarray())
+    return _clamp(square @ square.T)
+
+
+def _symmetric_deviation(rows, starts, r, out=None) -> np.ndarray:
+    """Twice the TV distance to pi of each start, read from rows of S^t.
+
+    rows[i] is row starts[i] of S^t = D^{1/2} P^t D^{-1/2} and r = sqrt(pi),
+    so P^t(x, y) = S^t(x, y) r_y / r_x and
+
+        2 d_x(t) = (1 / r_x) sum_y r_y |S^t(x, y) - r_x r_y|.
+
+    out receives |rows - r_x r_y|; it must not be rows.
+    """
+    scale = r[starts]
+    out = np.multiply.outer(scale, r, out=out)
+    np.subtract(rows, out, out=out)
+    np.abs(out, out=out)
+    return (out @ r) / scale
+
+
 def active_start_mixing_time(
-    kernel: Kernel,
+    matrix: sp.csr_array,
     space: StateSpace,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
 ) -> int | None:
-    """Worst-start mixing time, searched on the starts not yet mixed.
+    """Worst-start mixing time of a sparse pi-reversible kernel P.
 
     It is the mixing time of exact_mixing_time(method="doubling"), or
     None where that report is truncated at t_max, up to rounding. Each
@@ -247,52 +283,57 @@ def active_start_mixing_time(
     forms the rows of starts still above the threshold first and the
     settled rows only if the bracket is still open; the bisection then
     lifts the remaining rows by the stored squares, largest first.
+
+    The powers are those of the symmetric S = D^{1/2} P D^{-1/2}
+    (spectral.symmetric_form): S^(2s) = S^s (S^s)^T, so every full square
+    is symmetric (_symmetric_square) and d_x(t) is read from row x of
+    S^t (_symmetric_deviation).
     """
     _check_search(threshold, t_max)
-    if not is_ergodic(kernel):
-        raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
+    step = symmetric_form(matrix, space.pi)
     pi = space.pi
     if 1.0 - float(pi.min()) <= threshold:
         return 0
-    scratch = np.empty_like(kernel.matrix)
+    r = np.sqrt(pi)
+    everyone = np.arange(space.size)
+    scratch = np.empty((space.size, space.size))
 
-    def above(rows):
-        return 0.5 * _abs_deviation(rows, pi, scratch[: len(rows)]) > threshold
+    def above(rows, starts):
+        deviation = _symmetric_deviation(rows, starts, r, scratch[: len(starts)])
+        return 0.5 * deviation > threshold
 
-    active = np.flatnonzero(above(kernel.matrix))
+    active = np.flatnonzero(above(step.toarray(), everyone))
     if not active.size:
         return 1
-    # squares[k] = P^(2^k); active holds the starts above the threshold at s.
-    squares = [kernel.matrix]
+    # squares[k] = S^(2^k); active holds the starts above the threshold at s.
+    squares = [step]
     s = 1
     while True:
         if s >= t_max:
             return None
         square = squares[-1]
-        partial = active.size < len(square)
-        block = _renormalize((square[active] if partial else square) @ square)
-        still = above(block)
+        # The sparse S is always squared whole.
+        partial = active.size < space.size and s > 1
+        if partial:
+            block = _clamp(square[active] @ square)
+            still = above(block, active)
+        else:
+            block = _symmetric_square(square)
+            still = above(block, everyone)[active]
         s *= 2
         if not still.any():
             break
-        if partial:
-            settled = np.ones(len(square), dtype=bool)
-            settled[active] = False
-            full = np.empty_like(square)
-            full[active] = block
-            full[settled] = _renormalize(square[settled] @ square)
-            block = full
-        squares.append(block)
+        squares.append(_symmetric_square(square) if partial else block)
         active = active[still]
 
     # Each active start is above the threshold at s/2 and at or below it
     # at s; lift t = s/2 while some start stays above at t + 2^k.
     rows, t = squares[-1][active], s // 2
     for k in range(len(squares) - 2, -1, -1):
-        lifted = _renormalize(rows @ squares[k])
-        still = above(lifted)
+        lifted = _clamp(rows @ squares[k])
+        still = above(lifted, active)
         if still.any():
-            rows, t = lifted[still], t + 2 ** k
+            rows, active, t = lifted[still], active[still], t + 2 ** k
     return t + 1 if t + 1 <= t_max else None
 
 
@@ -309,18 +350,18 @@ def verify_mixing_bounds(
     (b) T_mix(AS) <= log(4e^2 / pi_min) T_rel(AS)
     (c) T_mix(AS) <= log(4e^2 / pi_min) (T_mix(RU) + 1)
 
-    Only T_mix(RU) needs the dense kernel, searched on the starts not
-    yet mixed (active_start_mixing_time); the scan side runs on the
-    joint table (scan_report, scan_mixing_time) and T_rel(RU) on
-    the sparse kernel (random_update_report).
+    The random-update side runs on one sparse kernel: T_rel(RU) from
+    its SLEM (random_update_report) and T_mix(RU) from its powers,
+    searched on the starts not yet mixed (active_start_mixing_time).
+    The scan side runs on the joint table (scan_report, scan_mixing_time).
     """
     space = chain.enumerate_state_space(model, cap=cap)
     table = chain.joint_table(model, space)
     pi_min = float(space.pi.min())
 
-    t_rel_ru = random_update_report(model, space, lazy).relaxation_time
+    p_ru = chain.random_update_sparse(model, space, lazy)
+    t_rel_ru = random_update_report(p_ru, space).relaxation_time
     t_rel_as = scan_report(table).relaxation_time
-    p_ru = chain.random_update_kernel(model, space, lazy=lazy)
     t_mix_ru = active_start_mixing_time(p_ru, space, threshold, t_max)
     # scan_report has checked the scan's ergodicity and
     # active_start_mixing_time the threshold and t_max.

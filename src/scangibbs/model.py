@@ -195,6 +195,8 @@ def random_bipartite_model(
     generator keyed by the seed, so results are reproducible across
     platforms.
     """
+    if m < 0:
+        raise ModelError(f"m must be non-negative, got {m}")
     if m > n1 * n2:
         raise ModelError(f"m={m} exceeds the {n1 * n2} available pairs")
     if not np.isfinite(weight_high - weight_low):

@@ -158,16 +158,13 @@ def scan_report(table: chain.JointTable) -> SpectralReport:
     )
 
 
-def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
-    """L2(pi) norm of P - S_pi for a sparse pi-reversible kernel P.
+def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
+    """D^{1/2} P D^{-1/2} of an ergodic sparse pi-reversible kernel P.
 
-    Checks detailed balance, the symmetry of D^{1/2} P D^{-1/2} and
-    irreducibility first. Up to _DENSE_EIGEN_MAX states the deflated
-    matrix goes to a dense eigensolver; above it ARPACK finds both ends
-    of its spectrum from a fixed start vector, so results repeat exactly,
-    and again on the spectrum shifted by 1 if that does not converge.
+    Checks detailed balance, the symmetry of the conjugate and
+    ergodicity, then averages the conjugate with its transpose, so the
+    result is exactly symmetric.
     """
-    pi = space.pi
     flux = matrix.multiply(pi[:, None])
     violation = abs(flux - flux.T).max()
     if violation > _REVERSIBILITY_TOL:
@@ -179,10 +176,22 @@ def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
         raise NumericalError(
             f"kernel not symmetric after conjugation: asymmetry {asym}"
         )
-    n_comp, _ = connected_components(matrix, directed=True, connection="strong")
-    if n_comp != 1 or not np.any(matrix.diagonal() > 0.0):
+    if not is_ergodic(matrix):
         raise NonErgodicError("kernel is not ergodic")
-    m = 0.5 * (m + m.T)
+    return 0.5 * (m + m.T)
+
+
+def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
+    """L2(pi) norm of P - S_pi for a sparse pi-reversible kernel P.
+
+    It is the largest |eigenvalue| of symmetric_form(P) deflated by
+    sqrt(pi) sqrt(pi)^T. Up to _DENSE_EIGEN_MAX states that goes to a
+    dense eigensolver; above it ARPACK finds both ends of its spectrum
+    from a fixed start vector, so results repeat exactly, and again on
+    the spectrum shifted by 1 if that does not converge.
+    """
+    m = symmetric_form(matrix, space.pi)
+    sqrt_pi = np.sqrt(space.pi)
     N = space.size
     if N <= _DENSE_EIGEN_MAX:
         eigs = np.linalg.eigvalsh(m.toarray() - np.outer(sqrt_pi, sqrt_pi))
@@ -205,11 +214,9 @@ def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
     raise NumericalError(f"ARPACK did not converge: {failure}") from failure
 
 
-def random_update_report(
-    model: BipartiteModel, space: StateSpace, lazy: bool = True
-) -> SpectralReport:
+def random_update_report(matrix: sp.csr_array, space: StateSpace) -> SpectralReport:
     """Spectral report of the reversible random-update kernel, from its sparse form."""
-    slem = sparse_deviation_norm(chain.random_update_sparse(model, space, lazy), space)
+    slem = sparse_deviation_norm(matrix, space)
     if slem >= 1.0:
         raise NonErgodicError("random-update kernel has zero spectral gap")
     return SpectralReport(
@@ -231,7 +238,7 @@ def verify_theorem1(
     rhs = SLEM^2 from random_update_report.
     """
     space = chain.enumerate_state_space(model, cap=cap)
-    ru = random_update_report(model, space, lazy)
+    ru = random_update_report(chain.random_update_sparse(model, space, lazy), space)
     scan = scan_report(chain.joint_table(model, space))
     lhs = scan.second_largest_modulus
     rhs = ru.second_largest_modulus ** 2

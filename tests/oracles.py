@@ -3,7 +3,8 @@
 The library runs the alternating scan on the joint table of the two
 partitions and the random-update spectrum on the sparse kernel. Its
 results are checked against these: the per-configuration Hamiltonian and
-conditionals, the dense single-site and scan kernels, the L2(pi)
+conditionals, the dense single-site and scan kernels, the single-site
+kernels summed one after another, the L2(pi)
 operator norm, the exact rational random-update kernel, the hardcore
 lumping maps and the TV distance of two distributions.
 """
@@ -107,12 +108,32 @@ def conditional_distribution(model: BipartiteModel, config, variable: int) -> np
     return weights / weights.sum()
 
 
+def single_site_sparse(space: StateSpace, x: int) -> sp.csr_array:
+    """Sparse transition matrix of resampling the single variable x."""
+    targets, probs = chain._single_site_probs(space, x)
+    N, S = probs.shape
+    rows = np.repeat(np.arange(N), S)
+    mat = sp.csr_array(
+        (probs.ravel(), (rows, targets.ravel())), shape=(N, N)
+    )
+    mat.sum_duplicates()
+    return mat
+
+
 def single_site_kernel(model: BipartiteModel, space: StateSpace, x: int) -> Kernel:
     """Transition matrix of resampling the single variable x."""
     if not (0 <= x < model.n):
         raise chain.ChainError(f"variable {x} out of range")
-    dense = chain._single_site_sparse(space, x).toarray()
+    dense = single_site_sparse(space, x).toarray()
     return make_kernel(dense, UNIT_VARIABLE, f"T[{x}]")
+
+
+def sequential_site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
+    """Sum of the sparse single-site kernels, added one after another."""
+    acc = sp.csr_array((space.size, space.size))
+    for x in range(model.n):
+        acc = acc + single_site_sparse(space, x)
+    return acc
 
 
 def _right_multiply(dense: np.ndarray, sparse_t: sp.csr_array) -> np.ndarray:
@@ -130,7 +151,7 @@ def scan_kernels(model: BipartiteModel, space: StateSpace) -> dict[str, Kernel]:
     validate_bipartite(model)
     n1, n = model.n1, model.n
     N = space.size
-    sparse_ts = [chain._single_site_sparse(space, x) for x in range(n)]
+    sparse_ts = [single_site_sparse(space, x) for x in range(n)]
 
     def scan_product(indices):
         prod = sparse_ts[indices[0]].toarray()

@@ -7,7 +7,7 @@ import scangibbs as sg
 from scangibbs import chain
 from scangibbs.chain import StateSpaceCapError
 
-from oracles import scan_kernels, single_site_kernel, stationary_projector
+from oracles import scan_kernels, sequential_site_sum, single_site_kernel, stationary_projector
 
 
 def db_violation(kernel, space):
@@ -255,3 +255,39 @@ def test_alternating_scan_breaks_detailed_balance(rbm):
     model, space = rbm
     p_as = scan_kernels(model, space)["P_AS"]
     assert db_violation(p_as, space) > 1e-6
+
+
+def test_site_sum_is_the_sequential_sum_byte_for_byte(engine_models):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        fast, slow = chain._site_sum(model, space), sequential_site_sum(model, space)
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(fast, field), getattr(slow, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (model.label, field)
+
+
+@pytest.mark.parametrize("shift, moved, match", [
+    (1e-13, True, "negative tolerance"),  # row 0 keeps its sum
+    (1e-9, False, "row sums deviate"),
+])
+def test_sparse_kernel_gets_the_kernel_checks(rbm, monkeypatch, shift, moved, match):
+    model, space = rbm
+    site_sum = chain._site_sum
+
+    def perturbed(*args):
+        matrix = site_sum(*args)
+        # two off-diagonal entries of row 0: its diagonal entry comes first
+        last = matrix.indptr[1] - 1
+        if moved:
+            matrix.data[last - 1] += matrix.data[last] + shift
+            matrix.data[last] = -shift
+        else:
+            matrix.data[last] += shift
+        return matrix
+
+    monkeypatch.setattr(chain, "_site_sum", perturbed)
+    for lazy in (True, False):
+        with pytest.raises(chain.NumericalError, match=match):
+            chain.random_update_sparse(model, space, lazy)
+        with pytest.raises(chain.NumericalError, match=match):
+            sg.verify_mixing_bounds(model, lazy=lazy)

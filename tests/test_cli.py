@@ -302,6 +302,32 @@ def test_bad_input_is_user_error(tmp_path, capsys, argv):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_negative_edge_count_is_user_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["spectral", "--model", "random_rbm", "--seed", "1", "--m", "-1",
+            "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "m must be non-negative" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_kernel_check_failure_is_numerical(tmp_path, monkeypatch, capsys):
+    site_sum = sg.chain._site_sum
+
+    def drifted(*args):
+        matrix = site_sum(*args)
+        matrix.data[-1] += 1e-9
+        return matrix
+
+    monkeypatch.setattr(sg.chain, "_site_sum", drifted)
+    argv = ["verify", "--suite", "mixing_bounds", "--model", "hardcore_knn", "--n", "3",
+            "--out", str(tmp_path)]
+    assert run_cli(argv) == cli.EXIT_NUMERICAL_ERROR
+    assert "row sums deviate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["spectral", "--help"]) == cli.EXIT_OK
     assert "--threshold" in capsys.readouterr().out

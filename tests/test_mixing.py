@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scangibbs as sg
-from scangibbs import chain, mixing
+from scangibbs import chain, mixing, spectral
 from scangibbs.mixing import MixingError, exact_mixing_time
 
 from oracles import rational_mixing_time, rational_ru_kernel, scan_kernels, tv_distance
@@ -212,7 +213,8 @@ def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
         space = sg.enumerate_state_space(model)
         p_ru = sg.random_update_kernel(model, space, lazy=lazy)
         expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
-        assert mixing.active_start_mixing_time(p_ru, space, threshold) == expected, model.label
+        sparse = chain.random_update_sparse(model, space, lazy)
+        assert mixing.active_start_mixing_time(sparse, space, threshold) == expected, model.label
 
 
 def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
@@ -220,7 +222,8 @@ def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
     # still above the threshold at t = 22, so no single row can be tracked.
     space = sg.enumerate_state_space(asymmetric_rbm)
     p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
-    t_mix = mixing.active_start_mixing_time(p, space)
+    t_mix = mixing.active_start_mixing_time(
+        chain.random_update_sparse(asymmetric_rbm, space), space)
     assert t_mix == exact_mixing_time(p, space, method="doubling").mixing_time == 23
     last = _per_start_tv(p, space, t_mix - 1)
     assert np.argmax(_per_start_tv(p, space, 16)) != np.argmax(last)
@@ -231,55 +234,113 @@ def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkey
     space = sg.enumerate_state_space(asymmetric_rbm)
     p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
     rows_formed = []
-    renormalize = mixing._renormalize
+    clamp = mixing._clamp
 
     def counting(matrix):
         rows_formed.append(len(matrix))
-        return renormalize(matrix)
+        return clamp(matrix)
 
-    monkeypatch.setattr(mixing, "_renormalize", counting)
-    assert mixing.active_start_mixing_time(p, space) == 23
+    monkeypatch.setattr(mixing, "_clamp", counting)
+    sparse = chain.random_update_sparse(asymmetric_rbm, space)
+    assert mixing.active_start_mixing_time(sparse, space) == 23
 
     def above(t):
         return int(np.sum(_per_start_tv(p, space, t) > mixing.DEFAULT_THRESHOLD))
 
-    # P^2 .. P^16 in full, then only the active rows of P^32, which closes
-    # the bracket (16, 32]; lifting t = 16 by 8 (no start above at 24),
-    # by 4 (to 20), by 2 (to 22) and by 1 (no start above at 23).
+    # S^2 (a sparse product) and S^4 .. S^16 in full, then only the active
+    # rows of S^32, which closes the bracket (16, 32]; lifting t = 16 by 8
+    # (no start above at 24), by 4 (to 20), by 2 (to 22) and by 1 (no
+    # start above at 23).
+    assert above(8) == space.size
     assert above(16) > above(20) > above(22) > 0 == above(23)
     assert sum(rows_formed) == 4 * space.size + 3 * above(16) + above(20) + above(22)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_active_start_squares_are_byte_symmetric(engine_models, monkeypatch, lazy):
+    squares = []
+    symmetric_square = mixing._symmetric_square
+
+    def recording(square):
+        squares.append(symmetric_square(square))
+        return squares[-1]
+
+    monkeypatch.setattr(mixing, "_symmetric_square", recording)
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        mixing.active_start_mixing_time(
+            chain.random_update_sparse(model, space, lazy), space, threshold=0.01)
+    assert len(squares) > 2 * len(engine_models)
+    for square in squares:
+        assert square.tobytes() == np.ascontiguousarray(square.T).tobytes()
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
+    # 2 d_x(t) read from S^t = D^{1/2} P^t D^{-1/2} against |P^t - pi| row sums
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p = sg.random_update_kernel(model, space, lazy=lazy).matrix
+        s = spectral.symmetric_form(chain.random_update_sparse(model, space, lazy),
+                                    space.pi).toarray()
+        starts, r = np.arange(space.size), np.sqrt(space.pi)
+        for t in range(1, 9):
+            expected = mixing._abs_deviation(np.linalg.matrix_power(p, t), space.pi)
+            got = mixing._symmetric_deviation(np.linalg.matrix_power(s, t), starts, r)
+            assert np.max(np.abs(got - expected)) <= 1e-13, (model.label, t)
 
 
 def test_active_start_search_at_t0_and_t1(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
     p = sg.random_update_kernel(zero_rbm_22, space, lazy=False)
+    sparse = chain.random_update_sparse(zero_rbm_22, space, lazy=False)
     # TV is 15/16 at t = 0; after one update P(x, .) meets pi = 1/16 only
     # on x and its 4 neighbours, so TV = 1 - 5/16
     assert _per_start_tv(p, space, 1).max() == pytest.approx(0.6875)
     for threshold, expected in ((0.95, 0), (0.7, 1), (0.6, 2)):
-        assert mixing.active_start_mixing_time(p, space, threshold) == expected
+        assert mixing.active_start_mixing_time(sparse, space, threshold) == expected
         assert exact_mixing_time(p, space, threshold, method="doubling").mixing_time == expected
 
 
 def test_active_start_search_truncation(k22):
     model, space = k22
     p = sg.random_update_kernel(model, space, lazy=True)
+    sparse = chain.random_update_sparse(model, space)
     for t_max in range(1, 40):
         report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
         expected = None if report.truncated else report.mixing_time
-        assert mixing.active_start_mixing_time(p, space, t_max=t_max) == expected, t_max
+        assert mixing.active_start_mixing_time(sparse, space, t_max=t_max) == expected, t_max
     for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 0), (math.nan, 3), (0.0, 3), (1.0, 3)):
         with pytest.raises(MixingError):
-            mixing.active_start_mixing_time(p, space, threshold, t_max)
+            mixing.active_start_mixing_time(sparse, space, threshold, t_max)
         with pytest.raises(MixingError):
             exact_mixing_time(p, space, threshold, t_max)
 
 
 def test_active_start_search_rejects_non_ergodic():
     space = sg.enumerate_state_space(sg.build_rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
-    identity = chain.Kernel(np.eye(space.size), chain.UNIT_VARIABLE, "I")
     with pytest.raises(sg.spectral.NonErgodicError):
-        mixing.active_start_mixing_time(identity, space)
+        mixing.active_start_mixing_time(sp.eye_array(space.size, format="csr"), space)
+
+
+def test_verify_mixing_bounds_assembles_one_sparse_kernel(engine_models, monkeypatch):
+    expected = [sg.verify_mixing_bounds(model, lazy=lazy)
+                for model in engine_models for lazy in (True, False)]
+    assembled = []
+    random_update_sparse = chain.random_update_sparse
+
+    def counting(*args, **kwargs):
+        assembled.append(args)
+        return random_update_sparse(*args, **kwargs)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("dense random-update kernel built")
+
+    monkeypatch.setattr(chain, "random_update_sparse", counting)
+    monkeypatch.setattr(chain, "random_update_kernel", boom)
+    assert [sg.verify_mixing_bounds(model, lazy=lazy)
+            for model in engine_models for lazy in (True, False)] == expected
+    assert len(assembled) == len(expected)
 
 
 def test_verify_mixing_bounds_does_not_call_exact_mixing_time(asymmetric_rbm, monkeypatch):

@@ -195,6 +195,8 @@ def test_random_model_large_distinct():
 def test_random_model_too_many_edges():
     with pytest.raises(ModelError):
         sg.random_bipartite_model(2, 2, 5, 0.0, 1.0, seed=0)
+    with pytest.raises(ModelError, match="m must be non-negative"):
+        sg.random_bipartite_model(2, 2, -1, 0.0, 1.0, seed=0)
 
 
 def test_validate_bipartite_rejects_intra_partition_edge():
