@@ -145,9 +145,10 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
     configs = np.empty((total, n), dtype=dtype)
     for j in range(n):
         configs[:, j] = (index // S ** (n - 1 - j)) % S
+    ends = list(zip(model.edge_u.tolist(), model.edge_v.tolist()))
     if model.hard_constraint == "hardcore":
         valid = np.ones(total, dtype=bool)
-        for (u, v, _) in model.edges:
+        for u, v in ends:
             valid &= ~((configs[:, u] == 1) & (configs[:, v] == 1))
         configs = configs[valid]
     count = configs.shape[0]
@@ -155,9 +156,10 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
         raise StateSpaceCapError(f"state space exceeds cap: {count} > {cap}")
     if count == 0:
         raise ChainError("no configuration has positive weight")
+    # A fixed order, edges then sites, keeps pi reproducible to the bit.
     h = np.zeros(count)
-    for (u, v, table) in model.edges:
-        h += np.asarray(table, dtype=float)[configs[:, u], configs[:, v]]
+    for k, (u, v) in enumerate(ends):
+        h += model.tables[k, configs[:, u], configs[:, v]]
     for j in range(n):
         h += model.unaries[j][configs[:, j]]
     if np.max(np.abs(h)) > HAMILTONIAN_RANGE:

@@ -10,8 +10,8 @@ time dominates the coupling time of every start pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import exp
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,39 +52,40 @@ def monotonicity_precondition(model: BipartiteModel) -> None:
         raise MonotonicityError(
             f"hard constraint {model.hard_constraint!r} is not attractive"
         )
-    bad = []
-    for (u, v, table) in model.edges:
-        table = np.asarray(table)
-        if table[0, 0] != 0.0 or table[0, 1] != 0.0 or table[1, 0] != 0.0:
-            raise MonotonicityError(
-                f"edge ({u}, {v}) is not an RBM-style [0,0,0,W] factor"
-            )
-        if table[1, 1] < 0.0:
-            bad.append((u, v, float(table[1, 1])))
-    if bad:
+    tables = model.tables
+    u, v = model.edge_u, model.edge_v
+    not_rbm = np.any(tables.reshape(-1, 4)[:, :3] != 0.0, axis=1)
+    if not_rbm.any():
+        k = int(np.argmax(not_rbm))
+        raise MonotonicityError(
+            f"edge ({u[k]}, {v[k]}) is not an RBM-style [0,0,0,W] factor"
+        )
+    negative = tables[:, 1, 1] < 0.0
+    if negative.any():
+        bad = list(zip(u[negative].tolist(), v[negative].tolist(),
+                       tables[negative, 1, 1].tolist()))
         raise MonotonicityError(f"negative-weight edges break monotonicity: {bad}")
 
 
 def _couplings_of(model: BipartiteModel):
-    """Bias vector, per-site (neighbor, weight) tuples, and the cross matrix.
+    """Bias vector, per-site (neighbor, weight) tuples, and the cross matrix
+    with its transpose, both in CSR form.
 
-    Neighbor tuples follow `model.edges` order, so a site's field sums its
-    weights in the same order on every call.
+    Neighbor tuples follow edge order, so a site's field sums its weights
+    in the same order on every call. Row v of the transpose lists its
+    entries by ascending first-partition index, so a second-partition
+    field sums in that order.
     """
     n, n1, n2 = model.n, model.n1, model.n2
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+    u, v, w = model.edge_u, model.edge_v, model.tables[:, 1, 1]
     neighbors = [[] for _ in range(n)]
-    rows, cols, vals = [], [], []
-    for (u, v, table) in model.edges:
-        w = float(np.asarray(table)[1, 1])
-        neighbors[u].append((v, w))
-        neighbors[v].append((u, w))
-        rows.append(u)
-        cols.append(v - n1)
-        vals.append(w)
+    for a, b, weight in zip(u.tolist(), v.tolist(), w.tolist()):
+        neighbors[a].append((b, weight))
+        neighbors[b].append((a, weight))
     nbrs = tuple(tuple(lst) for lst in neighbors)
-    cross = sp.csr_array((vals, (rows, cols)), shape=(n1, n2))
-    return bias, nbrs, cross
+    cross = sp.csr_array((w, (u, v - n1)), shape=(n1, n2))
+    return bias, nbrs, cross, cross.T.tocsr()
 
 
 def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
@@ -124,7 +125,7 @@ def grand_coupling_time(
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     key = philox_key(seed)
     n = model.n
-    bias, nbrs, cross = _couplings_of(model)
+    bias, nbrs, cross, cross_t = _couplings_of(model)
     top0 = _start_vector(start_top, 1, n, "start_top")
     bot0 = _start_vector(start_bottom, 0, n, "start_bottom")
     if np.any(top0 < bot0):
@@ -141,7 +142,7 @@ def grand_coupling_time(
             )
         else:
             time = _run_alternating_scan(
-                model, bias, cross, rng, max_updates, lazy, top0, bot0
+                model, bias, cross, cross_t, rng, max_updates, lazy, top0, bot0
             )
         if time is None:
             truncated += 1
@@ -180,10 +181,13 @@ def _site_update(bias, nbrs, top, bottom, x, u) -> int:
         if bottom[j]:
             field_bot += w
     b = bias[x]
-    new_top = 1 if u < 1.0 / (1.0 + math.exp(-(b + field_top))) else 0
-    new_bot = 1 if u < 1.0 / (1.0 + math.exp(-(b + field_bot))) else 0
-    if new_bot > new_top:
-        raise CouplingInvariantError("sandwich violated at a site update")
+    new_top = 1 if u < 1.0 / (1.0 + exp(-(b + field_top))) else 0
+    if field_bot == field_top:
+        new_bot = new_top
+    else:
+        new_bot = 1 if u < 1.0 / (1.0 + exp(-(b + field_bot))) else 0
+        if new_bot > new_top:
+            raise CouplingInvariantError("sandwich violated at a site update")
     delta = (new_top != new_bot) - (top[x] != bottom[x])
     top[x] = new_top
     bottom[x] = new_bot
@@ -222,7 +226,7 @@ def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
     return updates
 
 
-def _run_alternating_scan(model, bias, cross, rng, max_updates, lazy, top0, bot0):
+def _run_alternating_scan(model, bias, cross, cross_t, rng, max_updates, lazy, top0, bot0):
     # Partition one updates are mutually independent given partition two
     # (and vice versa), so each half scan vectorizes; the per-site shared
     # uniforms are drawn in scan order.
@@ -238,10 +242,14 @@ def _run_alternating_scan(model, bias, cross, rng, max_updates, lazy, top0, bot0
         u = rng.random(bias_vec.shape[0])
         if lazy:
             hold = rng.random(bias_vec.shape[0]) < 0.5
-        p_top = expit(bias_vec + mat @ state_opposite_top)
-        p_bot = expit(bias_vec + mat @ state_opposite_bot)
-        new_top = (u < p_top).astype(float)
-        new_bot = (u < p_bot).astype(float)
+        field_top = bias_vec + mat @ state_opposite_top
+        field_bot = bias_vec + mat @ state_opposite_bot
+        new_top = (u < expit(field_top)).astype(float)
+        # Equal fields give equal draws; the bottom chain needs its own
+        # conditional only where its field differs from the top chain's.
+        new_bot = new_top.copy()
+        differ = np.flatnonzero(field_top != field_bot)
+        new_bot[differ] = u[differ] < expit(field_bot[differ])
         if np.any(new_bot > new_top):
             raise CouplingInvariantError("sandwich violated during a scan")
         return new_top, new_bot, (hold if lazy else None)
@@ -253,7 +261,7 @@ def _run_alternating_scan(model, bias, cross, rng, max_updates, lazy, top0, bot0
             new_top1 = np.where(hold1, top1, new_top1)
             new_bot1 = np.where(hold1, bot1, new_bot1)
         top1, bot1 = new_top1, new_bot1
-        new_top2, new_bot2, hold2 = half_scan(top1, bot1, b2, cross.T)
+        new_top2, new_bot2, hold2 = half_scan(top1, bot1, b2, cross_t)
         if lazy:
             new_top2 = np.where(hold2, top2, new_top2)
             new_bot2 = np.where(hold2, bot2, new_bot2)

@@ -33,16 +33,21 @@ class BipartiteStructureError(ModelError):
 class BipartiteModel:
     """Pairwise model over two variable partitions.
 
-    edges holds (u, v, table) triples with u in the first partition,
-    v in the second, and table a (S, S) array indexed by (value of u,
-    value of v). unaries is an (n, S) array. The only built-in hard
-    constraint is "hardcore": no edge may have both endpoints at value 1.
+    Edge k joins edge_u[k], in the first partition, to edge_v[k], in the
+    second; tables[k] is its (S, S) factor indexed by (value of u, value
+    of v). The three arrays, of shapes (m,), (m,) and (m, S, S), are the
+    only stored form of the edges; `edges` derives (u, v, table) triples
+    from them in edge order, for readers outside the package. unaries is
+    an (n, S) array. The only built-in hard constraint is "hardcore": no
+    edge may have both endpoints at value 1.
     """
 
     n1: int
     n2: int
     domain_size: int
-    edges: tuple
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    tables: np.ndarray
     unaries: np.ndarray
     hard_constraint: str | None = None
     label: str = "model"
@@ -59,13 +64,29 @@ class BipartiteModel:
             )
         if not np.all(np.isfinite(self.unaries)):
             raise ModelError("unary tables must be finite")
-        for (u, v, table) in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ModelError(f"edge ({u}, {v}) out of range")
-            if np.asarray(table).shape != (self.domain_size, self.domain_size):
-                raise ModelError(f"edge ({u}, {v}) has a malformed factor table")
-            if not np.all(np.isfinite(table)):
-                raise ModelError(f"edge ({u}, {v}) has a non-finite factor table")
+        u, v = _endpoints(self.edge_u), _endpoints(self.edge_v)
+        if u.shape != v.shape:
+            raise ModelError(f"edge endpoint arrays differ in length: {u.size} != {v.size}")
+        try:
+            tables = np.asarray(self.tables, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelError("factor tables must be numeric") from exc
+        S = self.domain_size
+        if tables.shape != (u.size, S, S):
+            raise ModelError(
+                f"factor tables have shape {tables.shape}, expected ({u.size}, {S}, {S})"
+            )
+        object.__setattr__(self, "edge_u", u)
+        object.__setattr__(self, "edge_v", v)
+        object.__setattr__(self, "tables", tables)
+        outside = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise ModelError(f"edge ({u[k]}, {v[k]}) out of range")
+        finite = np.isfinite(tables).all(axis=(1, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise ModelError(f"edge ({u[k]}, {v[k]}) has a non-finite factor table")
         if self.hard_constraint not in (None, "hardcore"):
             raise ModelError(f"unknown hard constraint {self.hard_constraint!r}")
 
@@ -73,21 +94,42 @@ class BipartiteModel:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    def partition_of(self, x: int) -> int:
-        return 0 if x < self.n1 else 1
+    @property
+    def edges(self) -> tuple:
+        """(u, v, table) triples in edge order, derived from the arrays."""
+        return tuple(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.tables))
+
+
+def _endpoints(values) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ModelError(f"edge endpoints must form a 1-D array, got shape {arr.shape}")
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ModelError(f"edge endpoints must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def validate_bipartite(model: BipartiteModel) -> None:
     """Raise BipartiteStructureError listing edges within one partition."""
-    bad = [
-        (u, v)
-        for (u, v, _) in model.edges
-        if model.partition_of(u) == model.partition_of(v)
-    ]
-    if bad:
+    u, v = model.edge_u, model.edge_v
+    same = (u < model.n1) == (v < model.n1)
+    if same.any():
+        bad = list(zip(u[same].tolist(), v[same].tolist()))
         raise BipartiteStructureError(
             f"edges within a single partition: {bad}"
         )
+
+
+def _rbm_tables(weights: np.ndarray) -> np.ndarray:
+    """[[0, 0], [0, w]] factor tables, one per weight, in the given order."""
+    tables = np.zeros((weights.size, 2, 2))
+    tables[:, 1, 1] = weights.ravel()
+    return tables
+
+
+def _all_pairs(n1: int, n2: int):
+    """Row-major (i, j) index arrays of every pair in an n1 x n2 block."""
+    return np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
 
 
 def build_rbm(weights, bias1, bias2, label: str = "rbm") -> BipartiteModel:
@@ -102,15 +144,11 @@ def build_rbm(weights, bias1, bias2, label: str = "rbm") -> BipartiteModel:
         raise ModelError(
             f"bias shapes {bias1.shape}, {bias2.shape} do not match weights {weights.shape}"
         )
-    edges = []
-    for i in range(n1):
-        for j in range(n2):
-            table = np.array([[0.0, 0.0], [0.0, weights[i, j]]])
-            edges.append((i, n1 + j, table))
+    i, j = _all_pairs(n1, n2)
     unaries = np.zeros((n1 + n2, 2))
     unaries[:n1, 1] = bias1
     unaries[n1:, 1] = bias2
-    return BipartiteModel(n1, n2, 2, tuple(edges), unaries, label=label)
+    return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label=label)
 
 
 def build_dbm(layer_sizes, interlayer_weights, biases, label: str = "dbm") -> BipartiteModel:
@@ -147,33 +185,32 @@ def build_dbm(layer_sizes, interlayer_weights, biases, label: str = "dbm") -> Bi
         offset[k] = pos
         pos += sizes[k]
 
-    edges = []
-    for k, w in enumerate(weight_mats):
-        lo, hi = (k, k + 1) if k % 2 == 0 else (k + 1, k)
-        # lo is the odd (partition-one) layer of the pair
-        for i in range(sizes[k]):
-            for j in range(sizes[k + 1]):
-                table = np.array([[0.0, 0.0], [0.0, w[i, j]]])
-                if k % 2 == 0:
-                    edges.append((offset[k] + i, offset[k + 1] + j, table))
-                else:
-                    table = table.T
-                    edges.append((offset[k + 1] + j, offset[k] + i, table))
+    # Edges run layer pair by layer pair, row-major in each weight matrix;
+    # the endpoint in the odd layer of the pair comes first.
+    us, vs = [], []
+    for k in range(len(weight_mats)):
+        i, j = _all_pairs(sizes[k], sizes[k + 1])
+        a, b = offset[k] + i, offset[k + 1] + j
+        if k % 2:
+            a, b = b, a
+        us.append(a)
+        vs.append(b)
+    edge_u, edge_v = np.concatenate(us), np.concatenate(vs)
+    tables = _rbm_tables(np.concatenate([w.ravel() for w in weight_mats]))
     unaries = np.zeros((n1 + n2, 2))
     for k, b in enumerate(bias_vecs):
         unaries[offset[k]:offset[k] + sizes[k], 1] = b
-    return BipartiteModel(n1, n2, 2, tuple(edges), unaries, label=label)
+    return BipartiteModel(n1, n2, 2, edge_u, edge_v, tables, unaries, label=label)
 
 
 def build_hardcore_complete_bipartite(n: int) -> BipartiteModel:
     """Uniform independent sets of the complete bipartite graph K_{n,n}."""
     if n < 1:
         raise ModelError("n must be at least 1")
-    zero = np.zeros((2, 2))
-    edges = tuple((i, n + j, zero) for i in range(n) for j in range(n))
+    i, j = _all_pairs(n, n)
     unaries = np.zeros((2 * n, 2))
     return BipartiteModel(
-        n, n, 2, edges, unaries,
+        n, n, 2, i, n + j, np.zeros((n * n, 2, 2)), unaries,
         hard_constraint="hardcore", label=f"hardcore_knn:{n}",
     )
 
@@ -206,15 +243,11 @@ def random_bipartite_model(
     rng = np.random.Generator(np.random.Philox(key=philox_key(seed)))
     pairs = rng.permutation(n1 * n2)[:m]
     weights = rng.uniform(weight_low, weight_high, size=m)
-    edges = []
-    for pair, w in zip(pairs, weights):
-        i, j = divmod(int(pair), n2)
-        table = np.array([[0.0, 0.0], [0.0, w]])
-        edges.append((i, n1 + j, table))
+    i, j = np.divmod(pairs, n2)
     unaries = np.zeros((n1 + n2, 2))
     if label is None:
         label = f"random_rbm:{n1}x{n2}:m{m}:seed{seed}"
-    return BipartiteModel(n1, n2, 2, tuple(edges), unaries, label=label)
+    return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label=label)
 
 
 def model_from_json(source: str) -> BipartiteModel:
@@ -253,26 +286,55 @@ def model_from_dict(obj: dict) -> BipartiteModel:
 
 
 def _mrf_from_dict(obj: dict) -> BipartiteModel:
-    partition = list(obj["partition"])
-    unary = np.asarray(obj["unary"], dtype=float)
+    partition, edges = obj["partition"], obj["edges"]
+    if not isinstance(partition, list) or any(p not in (0, 1) for p in partition):
+        raise ModelError("partition must be a list of 0/1 labels, one per variable")
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise ModelError("edges must be a list of objects with fields u, v and table")
     n = len(partition)
-    if unary.shape[0] != n:
-        raise ModelError("unary table count does not match the partition array")
+    try:
+        unary = np.asarray(obj["unary"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelError("unary must be a regular table of numbers") from exc
+    if unary.ndim != 2 or unary.shape[0] != n:
+        raise ModelError(
+            f"unary must be a table with one row per variable, shape ({n}, S); "
+            f"got shape {unary.shape}"
+        )
     S = unary.shape[1]
+    ends = [(e["u"], e["v"]) for e in edges]
+    for k, end in enumerate(ends):
+        for x in end:
+            if isinstance(x, bool) or not isinstance(x, int) or not 0 <= x < n:
+                raise ModelError(f"edge {k} endpoint {x!r} is not a variable index in [0, {n})")
+    try:
+        tables = np.array([_flat_table(e["table"], S) for e in edges], dtype=float)
+        tables = tables.reshape(len(edges), S, S)
+    except (TypeError, ValueError) as exc:
+        raise ModelError(
+            f"every edge table must be S*S = {S * S} numbers, flat or as {S} rows of {S}"
+        ) from exc
     # Remap variables so the first partition occupies indices 0..n1-1.
-    order = [i for i, p in enumerate(partition) if p == 0]
-    order += [i for i, p in enumerate(partition) if p == 1]
-    n1 = sum(1 for p in partition if p == 0)
-    new_index = {old: new for new, old in enumerate(order)}
-    edges = []
-    for e in obj["edges"]:
-        u, v = new_index[int(e["u"])], new_index[int(e["v"])]
-        table = np.asarray(e["table"], dtype=float).reshape(S, S)
-        if u >= n1 and v < n1:
-            u, v, table = v, u, table.T
-        edges.append((u, v, table))
+    side = np.array(partition, dtype=np.int64)
+    order = np.argsort(side, kind="stable")
+    n1 = n - int(side.sum())
+    new_index = np.empty(n, dtype=np.int64)
+    new_index[order] = np.arange(n)
+    pairs = new_index[np.array(ends, dtype=np.int64).reshape(-1, 2)]
+    swap = (pairs[:, 0] >= n1) & (pairs[:, 1] < n1)
+    pairs[swap] = pairs[swap, ::-1]
+    tables[swap] = tables[swap].transpose(0, 2, 1)
     model = BipartiteModel(
-        n1, n - n1, S, tuple(edges), unary[order], label="mrf"
+        n1, n - n1, S, pairs[:, 0], pairs[:, 1], tables, unary[order], label="mrf"
     )
     validate_bipartite(model)
     return model
+
+
+
+def _flat_table(table, S: int):
+    """A table given as S rows of S entries, flattened; anything else as is."""
+    if (isinstance(table, list) and len(table) == S
+            and all(isinstance(row, list) and len(row) == S for row in table)):
+        return [x for row in table for x in row]
+    return table

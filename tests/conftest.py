@@ -3,6 +3,8 @@ import pytest
 
 import scangibbs as sg
 
+from oracles import model_from_edges
+
 
 @pytest.fixture(scope="session")
 def zero_rbm_22():
@@ -44,8 +46,8 @@ def engine_models(zero_rbm_22, asymmetric_rbm):
             n1, n2, m, -2.0, 2.0, seed=int(rng.integers(0, 2 ** 31))))
     edges = tuple((i, 2 + j, rng.uniform(-1.0, 1.0, (3, 3)))
                   for i in range(2) for j in range(2))
-    models.append(sg.BipartiteModel(2, 2, 3, edges, rng.uniform(-1.0, 1.0, (4, 3)),
-                                    label="potts3"))
+    models.append(model_from_edges(2, 2, 3, edges, rng.uniform(-1.0, 1.0, (4, 3)),
+                                   label="potts3"))
     return models
 
 

@@ -36,6 +36,15 @@ from scangibbs.model import (
 from scangibbs.spectral import _conjugate
 
 
+def model_from_edges(n1, n2, domain_size, edges, unaries, **kwargs) -> BipartiteModel:
+    """A model given as (u, v, table) triples, the inverse of `model.edges`."""
+    S = domain_size
+    u = np.array([e[0] for e in edges], dtype=np.int64)
+    v = np.array([e[1] for e in edges], dtype=np.int64)
+    tables = np.array([e[2] for e in edges], dtype=float).reshape(len(edges), S, S)
+    return BipartiteModel(n1, n2, S, u, v, tables, unaries, **kwargs)
+
+
 def _check_config(model: BipartiteModel, config) -> np.ndarray:
     config = np.asarray(config)
     if config.shape != (model.n,):

@@ -7,7 +7,13 @@ import scangibbs as sg
 from scangibbs import chain
 from scangibbs.chain import StateSpaceCapError
 
-from oracles import scan_kernels, sequential_site_sum, single_site_kernel, stationary_projector
+from oracles import (
+    model_from_edges,
+    scan_kernels,
+    sequential_site_sum,
+    single_site_kernel,
+    stationary_projector,
+)
 
 
 def db_violation(kernel, space):
@@ -48,7 +54,7 @@ def test_enumerate_cap_exceeded(hardcore_k33):
 def test_enumerate_wide_domain():
     # 200 values per variable overflow an int8 configuration grid
     S = 200
-    model = sg.BipartiteModel(1, 1, S, (), np.zeros((2, S)))
+    model = model_from_edges(1, 1, S, (), np.zeros((2, S)))
     with pytest.raises(StateSpaceCapError, match="40000 > 4096"):
         sg.enumerate_state_space(model)
     space = sg.enumerate_state_space(model, cap=40000)
@@ -64,7 +70,7 @@ def test_enumerate_wide_domain():
     "S, n1, n2", [(2, 1, 1), (2, 3, 4), (3, 2, 2), (2, 5, 6), (200, 1, 1)]
 )
 def test_enumeration_grid_matches_itertools_product(S, n1, n2):
-    model = sg.BipartiteModel(n1, n2, S, (), np.zeros((n1 + n2, S)))
+    model = model_from_edges(n1, n2, S, (), np.zeros((n1 + n2, S)))
     space = sg.enumerate_state_space(model, cap=S ** (n1 + n2))
     expected = np.array(list(itertools.product(range(S), repeat=n1 + n2)))
     assert space.configs.dtype == (np.int8 if S <= 128 else np.int16)

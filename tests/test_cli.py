@@ -282,6 +282,11 @@ def test_wide_domain_model_is_user_error(tmp_path, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+# A well-formed two-variable mrf model file.
+_MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
+        "edges": [{"u": 0, "v": 1, "table": [0.0, 0.0, 0.0, 0.5]}]}
+
+
 @pytest.mark.parametrize("argv", [
     ["spectral", "--model", "hardcore_knn", "--n", "abc"],
     ["spectral", "--model", "hardcore_knn", "--bogus"],
@@ -293,9 +298,20 @@ def test_wide_domain_model_is_user_error(tmp_path, capsys):
      "--n-max", "2"],
     ["verify", "--suite", "theorem1", "--seed", "1", "--trials", "-3"],
     ["run", "--analyses", "spectral,verify", "--model", "zero_rbm"],
+    # malformed mrf model files; a dict stands for a file holding it
+    ["spectral", "--model-file", {**_MRF, "unary": [0.0, 0.1]}],
+    ["spectral", "--model-file", {**_MRF, "partition": 3}],
+    ["spectral", "--model-file", {**_MRF, "edges": 5}],
+    ["spectral", "--model-file", {**_MRF, "edges": [{"u": 0, "v": 5, "table": [0, 0, 0, 1]}]}],
+    ["spectral", "--model-file", {**_MRF, "edges": [{"u": 0, "v": 1, "table": [0, 0, 1]}]}],
+    ["spectral", "--model-file", {**_MRF, "partition": [0, 2]}],
 ])
 def test_bad_input_is_user_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
+    if isinstance(argv[-1], dict):
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], str(model_file)]
     assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import scangibbs as sg
 from scangibbs import coupling
@@ -11,6 +14,8 @@ from scangibbs.coupling import (
     monotonicity_precondition,
 )
 from scangibbs.model import ModelError
+
+from oracles import model_from_edges
 
 
 @pytest.fixture(scope="module")
@@ -34,18 +39,14 @@ def test_precondition_rejects_negative_weight():
 
 
 def test_precondition_rejects_non_rbm_factor():
-    from scangibbs.model import BipartiteModel
-
     table = np.array([[0.3, 0.0], [0.0, 0.3]])
-    model = BipartiteModel(1, 1, 2, ((0, 1, table),), np.zeros((2, 2)))
+    model = model_from_edges(1, 1, 2, ((0, 1, table),), np.zeros((2, 2)))
     with pytest.raises(MonotonicityError, match="RBM-style"):
         monotonicity_precondition(model)
 
 
 def test_precondition_rejects_non_boolean():
-    from scangibbs.model import BipartiteModel
-
-    model = BipartiteModel(1, 1, 3, (), np.zeros((2, 3)))
+    model = model_from_edges(1, 1, 3, (), np.zeros((2, 3)))
     with pytest.raises(MonotonicityError, match="Boolean"):
         monotonicity_precondition(model)
 
@@ -144,22 +145,59 @@ def test_coupled_state_matches_exact_distribution():
     assert report.mean < 200
 
 
-# Samples recorded before the random-update step became a scalar update;
-# every seeded sample must stay identical.
+@pytest.fixture(scope="module")
+def random_order_ferro():
+    # Stronger couplings than `ferro`, so scan coalescence times vary.
+    return sg.random_bipartite_model(50, 40, 400, 0.0, 0.5, seed=3)
+
+
+# Samples recorded before the random-update step became a scalar update
+# (on `ferro`) and before models became arrays (on `random_order_ferro`,
+# both samplers, lazy and not); every seeded sample must stay identical.
+# Both models list their edges in shuffled order, not by CSR column.
 @pytest.mark.parametrize(
-    "sampler, lazy, max_updates, expected",
+    "model, sampler, lazy, max_updates, expected",
     [
-        (SAMPLER_RANDOM_UPDATE, False, 200000,
-         (216, 266, 281, 284, 336, 345, 356, 583)),
-        (SAMPLER_RANDOM_UPDATE, True, 400000,
-         (407, 435, 440, 451, 571, 627, 646, 671)),
-        (SAMPLER_ALTERNATING_SCAN, False, 200000,
-         (120, 120, 120, 120, 120, 120, 120, 180)),
+        pytest.param("ferro", SAMPLER_RANDOM_UPDATE, False, 200000,
+                     (216, 266, 281, 284, 336, 345, 356, 583),
+                     id="random_update-False-200000-expected0"),
+        pytest.param("ferro", SAMPLER_RANDOM_UPDATE, True, 400000,
+                     (407, 435, 440, 451, 571, 627, 646, 671),
+                     id="random_update-True-400000-expected1"),
+        pytest.param("ferro", SAMPLER_ALTERNATING_SCAN, False, 200000,
+                     (120, 120, 120, 120, 120, 120, 120, 180),
+                     id="alternating_scan-False-200000-expected2"),
+        pytest.param("random_order_ferro", SAMPLER_RANDOM_UPDATE, False, 400000,
+                     (392, 428, 454, 469, 518, 583, 612, 776),
+                     id="random_order-random_update-False"),
+        pytest.param("random_order_ferro", SAMPLER_RANDOM_UPDATE, True, 400000,
+                     (845, 1010, 1057, 1244, 1309, 1339, 2036, 2179),
+                     id="random_order-random_update-True"),
+        pytest.param("random_order_ferro", SAMPLER_ALTERNATING_SCAN, False, 400000,
+                     (180, 180, 270, 270, 270, 270, 270, 270),
+                     id="random_order-alternating_scan-False"),
+        pytest.param("random_order_ferro", SAMPLER_ALTERNATING_SCAN, True, 400000,
+                     (630, 720, 810, 810, 810, 900, 900, 990),
+                     id="random_order-alternating_scan-True"),
     ],
 )
-def test_pinned_samples(ferro, sampler, lazy, max_updates, expected):
-    report = grand_coupling_time(ferro, sampler, 11, 8, max_updates, lazy=lazy)
+def test_pinned_samples(request, model, sampler, lazy, max_updates, expected):
+    model = request.getfixturevalue(model)
+    report = grand_coupling_time(model, sampler, 11, 8, max_updates, lazy=lazy)
     assert report.samples == expected
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_sandwich_violation_detected(ferro, monkeypatch, sampler):
+    # An anti-monotone conditional, 1/(1 + exp(field)), lets the bottom
+    # chain overtake the top one at sites where the two fields differ,
+    # the only sites where the bottom conditional is evaluated.
+    if sampler == SAMPLER_RANDOM_UPDATE:
+        monkeypatch.setattr(coupling, "exp", lambda z: math.exp(-z))
+    else:
+        monkeypatch.setattr(coupling, "expit", lambda z: expit(-z))
+    with pytest.raises(coupling.CouplingInvariantError, match="sandwich violated"):
+        grand_coupling_time(ferro, sampler, 11, 1, 200000)
 
 
 def test_post_coalescence_check_detects_separation(ferro, monkeypatch):

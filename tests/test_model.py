@@ -14,7 +14,7 @@ from scangibbs.model import (
     ModelError,
 )
 
-from oracles import conditional_distribution, hamiltonian, unnormalized_weight
+from oracles import conditional_distribution, hamiltonian, model_from_edges, unnormalized_weight
 
 
 def ising_edge(weight):
@@ -33,7 +33,7 @@ def test_hamiltonian_single_rbm_factor():
 
 
 def test_hamiltonian_ising_factor():
-    model = BipartiteModel(1, 1, 2, ((0, 1, ising_edge(2.0)),), np.zeros((2, 2)))
+    model = model_from_edges(1, 1, 2, ((0, 1, ising_edge(2.0)),), np.zeros((2, 2)))
     assert hamiltonian(model, [0, 0]) == pytest.approx(2.0)
     assert hamiltonian(model, [1, 1]) == pytest.approx(2.0)
     assert hamiltonian(model, [0, 1]) == 0.0
@@ -44,7 +44,8 @@ def test_hamiltonian_edge_order_invariant():
     weights = rng.uniform(-1, 1, (3, 3))
     model = sg.build_rbm(weights, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
     shuffled = BipartiteModel(
-        model.n1, model.n2, 2, tuple(reversed(model.edges)), model.unaries
+        model.n1, model.n2, 2, model.edge_u[::-1], model.edge_v[::-1], model.tables[::-1],
+        model.unaries,
     )
     for _ in range(10):
         config = rng.integers(0, 2, 6)
@@ -155,6 +156,32 @@ def test_build_dbm_four_layers():
     sg.validate_bipartite(dbm)
 
 
+def test_builders_match_per_edge_loops():
+    # The per-edge constructions that the array builders replaced.
+    rng = np.random.default_rng(2)
+    sizes = [2, 3, 2, 2]
+    weights = [rng.uniform(-1, 1, (a, b)) for a, b in zip(sizes, sizes[1:])]
+    dbm = sg.build_dbm(sizes, weights, [np.zeros(s) for s in sizes])
+    offset = {0: 0, 2: 2, 1: 4, 3: 7}  # odd layers first, then even ones
+    expected = []
+    for k, w in enumerate(weights):
+        for i in range(sizes[k]):
+            for j in range(sizes[k + 1]):
+                a, b = offset[k] + i, offset[k + 1] + j
+                expected.append((a, b, w[i, j]) if k % 2 == 0 else (b, a, w[i, j]))
+    assert [(u, v, t[1, 1]) for u, v, t in dbm.edges] == expected
+
+    model = sg.random_bipartite_model(4, 5, 7, -1.0, 1.0, seed=99)
+    draws = np.random.Generator(np.random.Philox(key=np.uint64(99)))
+    pairs = draws.permutation(20)[:7]
+    w = draws.uniform(-1.0, 1.0, size=7)
+    expected = [(int(p) // 5, 4 + int(p) % 5, w[k]) for k, p in enumerate(pairs)]
+    assert [(u, v, t[1, 1]) for u, v, t in model.edges] == expected
+
+    for built in (dbm, model, sg.build_rbm(weights[1], np.zeros(3), np.zeros(2))):
+        assert not built.tables.reshape(-1, 4)[:, :3].any()
+
+
 def test_build_hardcore_counts():
     assert sg.enumerate_state_space(sg.build_hardcore_complete_bipartite(2)).size == 7
     space = sg.enumerate_state_space(sg.build_hardcore_complete_bipartite(3))
@@ -201,9 +228,53 @@ def test_random_model_too_many_edges():
 
 def test_validate_bipartite_rejects_intra_partition_edge():
     edges = ((0, 1, np.zeros((2, 2))),)  # both endpoints in partition one
-    model = BipartiteModel(2, 1, 2, edges, np.zeros((3, 2)))
+    model = model_from_edges(2, 1, 2, edges, np.zeros((3, 2)))
     with pytest.raises(BipartiteStructureError, match=r"\(0, 1\)"):
         sg.validate_bipartite(model)
+
+
+def test_validate_bipartite_lists_every_intra_partition_edge():
+    edges = ((0, 2, np.zeros((2, 2))), (3, 2, np.zeros((2, 2))), (0, 1, np.zeros((2, 2))))
+    model = model_from_edges(2, 2, 2, edges, np.zeros((4, 2)))
+    with pytest.raises(BipartiteStructureError, match=r"\[\(3, 2\), \(0, 1\)\]"):
+        sg.validate_bipartite(model)
+
+
+def one_edge_model(**fields):
+    """A 1x1 Boolean model with edge (0, 1), with the given fields replaced."""
+    args = {"n1": 1, "n2": 1, "domain_size": 2, "edge_u": [0], "edge_v": [1],
+            "tables": np.zeros((1, 2, 2)), "unaries": np.zeros((2, 2))}
+    return BipartiteModel(**{**args, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"edge_v": [2]}, r"edge \(0, 2\) out of range"),
+    ({"edge_u": [-1]}, r"edge \(-1, 1\) out of range"),
+    ({"edge_u": [0, 0], "edge_v": [1, 7], "tables": np.zeros((2, 2, 2))},
+     r"edge \(0, 7\) out of range"),
+    ({"tables": np.array([[[0.0, np.inf], [0.0, 0.0]]])}, r"edge \(0, 1\) has a non-finite"),
+    ({"tables": np.array([[[0.0, 0.0], [np.nan, 0.0]]])}, r"edge \(0, 1\) has a non-finite"),
+    ({"tables": np.zeros((1, 3, 3))}, r"factor tables have shape \(1, 3, 3\)"),
+    ({"tables": np.zeros((2, 2, 2))}, r"expected \(1, 2, 2\)"),
+    ({"tables": [[["w", 0.0], [0.0, 0.0]]]}, "must be numeric"),
+    ({"edge_v": [1, 1]}, "differ in length"),
+    ({"edge_u": [0.0]}, "must be integers"),
+    ({"edge_u": [[0]]}, "1-D"),
+])
+def test_model_rejects_malformed_edges(fields, message):
+    with pytest.raises(ModelError, match=message):
+        one_edge_model(**fields)
+
+
+def test_edges_view_follows_the_arrays():
+    model = sg.random_bipartite_model(4, 5, 7, -1.0, 1.0, seed=3)
+    assert len(model.edges) == 7
+    for k, (u, v, table) in enumerate(model.edges):
+        assert (u, v) == (model.edge_u[k], model.edge_v[k])
+        assert type(u) is int and type(v) is int
+        assert np.array_equal(table, model.tables[k])
+    assert model.edge_u.dtype == model.edge_v.dtype == np.int64
+    assert model.tables.dtype == float and model.tables.shape == (7, 2, 2)
 
 
 def test_model_from_json_kinds():
@@ -235,6 +306,46 @@ def test_model_from_json_mrf_partition_remap():
     sg.validate_bipartite(model)
     # original variable 1 is the lone partition-zero variable, now index 0
     assert hamiltonian(model, [1, 1, 1]) == pytest.approx(0.5 - 0.4 + 0.4)
+
+
+MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
+       "edges": [{"u": 0, "v": 1, "table": [0.0, 0.0, 0.0, 0.5]}]}
+
+
+def test_model_from_json_mrf_table_layouts():
+    # a table may be flat or S rows of S, and the two may be mixed
+    obj = {**MRF, "edges": [{"u": 0, "v": 1, "table": [[0.0, 0.0], [0.0, 0.5]]},
+                            {"u": 1, "v": 0, "table": [0.0, 0.0, 0.0, 0.2]}]}
+    model = sg.model_from_dict(obj)
+    assert model.tables[:, 1, 1].tolist() == [0.5, 0.2]
+    assert model.edge_u.tolist() == [0, 0] and model.edge_v.tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"unary": [0.0, 0.1]}, r"one row per variable, shape \(2, S\); got shape \(2,\)"),
+    ({"unary": [[0.0, "x"], [0.0, 0.0]]}, "unary must be a regular table of numbers"),
+    ({"partition": 3}, "partition must be a list of 0/1 labels"),
+    ({"partition": [0, 2]}, "partition must be a list of 0/1 labels"),
+    ({"edges": 5}, "edges must be a list of objects"),
+    ({"edges": [3]}, "edges must be a list of objects"),
+    ({"edges": [{"u": 0, "v": 5, "table": [0, 0, 0, 1]}]},
+     r"edge 0 endpoint 5 is not a variable index in \[0, 2\)"),
+    ({"edges": [{"u": 0, "v": 1.0, "table": [0, 0, 0, 1]}]}, "endpoint 1.0 is not"),
+    ({"edges": [{"u": 0, "v": 1, "table": [0, 0, 1]}]}, r"S\*S = 4 numbers"),
+    ({"edges": [{"u": 0, "v": 1, "table": [[0, 0, 0], [1, 0, 0]]}]}, r"S\*S = 4 numbers"),
+    ({"edges": [{"u": 0, "v": 1}]}, "missing field 'table'"),
+    ({"partition": [0, 0]}, "both partitions must be non-empty"),
+])
+def test_model_from_json_mrf_malformed(fields, message):
+    with pytest.raises(ModelError, match=message):
+        sg.model_from_dict({**MRF, **fields})
+
+
+def test_model_from_json_mrf_intra_partition_edge():
+    obj = {**MRF, "partition": [0, 1, 1], "unary": [[0.0, 0.0]] * 3,
+           "edges": [{"u": 1, "v": 2, "table": [0, 0, 0, 1]}]}
+    with pytest.raises(BipartiteStructureError):
+        sg.model_from_dict(obj)
 
 
 def test_model_from_json_malformed():
