@@ -85,11 +85,15 @@ def _format_cell(cell):
     return str(cell)
 
 
+_SUMMARY = ("experiment", "model_id", "sampler", "unit", "metric", "value")
+_CURVE = ("model_id", "sampler", "unit", "t", "worst_tv")
+
+
 def _resolve_model(args) -> model_mod.BipartiteModel:
-    if getattr(args, "model_file", None):
+    if args.model_file:
         with open(args.model_file) as fh:
             return model_mod.model_from_json(fh.read())
-    kind = getattr(args, "model", None)
+    kind = args.model
     if kind is None:
         raise model_mod.ModelError("no model given: use --model or --model-file")
     if kind == "hardcore_knn":
@@ -129,7 +133,8 @@ def _per_sampler(mdl, args, ru, scan):
         yield "alternating_scan", chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))
 
 
-def _spectral_rows(mdl, args):
+def _spectral(args):
+    mdl = _resolve_model(args)
     rows = []
     for sampler, unit, report in _per_sampler(
         mdl, args,
@@ -144,10 +149,11 @@ def _spectral_rows(mdl, args):
             ("reversible", report.reversible),
         ):
             rows.append(("spectral", mdl.label, sampler, unit, metric, value))
-    return rows
+    return {"spectral.csv": (_SUMMARY, rows)}
 
 
-def _mixing_rows(mdl, args):
+def _mixing(args):
+    mdl = _resolve_model(args)
     summary, curve = [], []
     for sampler, unit, report in _per_sampler(
         mdl, args,
@@ -162,10 +168,10 @@ def _mixing_rows(mdl, args):
         summary.append(("mixing", mdl.label, sampler, unit, "truncated", report.truncated))
         for t, tv in report.tv_curve:
             curve.append((mdl.label, sampler, unit, t, tv))
-    return summary, curve
+    return {"mixing.csv": (_SUMMARY, summary), "mixing_curve.csv": (_CURVE, curve)}
 
 
-def _lumped_rows(args):
+def _lumped(args):
     if args.n_min > args.n_max:
         raise lumped.LumpingError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
     summary, curve = [], []
@@ -196,10 +202,11 @@ def _lumped_rows(args):
             )
             for t, tv in mix.tv_curve:
                 curve.append((model_id, sampler, kernel.unit, t, tv))
-    return summary, curve
+    return {"lumped.csv": (_SUMMARY, summary), "lumped_curve.csv": (_CURVE, curve)}
 
 
-def _coupling_rows(mdl, args):
+def _coupling(args):
+    mdl = _resolve_model(args)
     if args.seed is None:
         raise model_mod.ModelError("coupling requires --seed")
     summary, wide = [], []
@@ -220,145 +227,141 @@ def _coupling_rows(mdl, args):
             )
         for rep, time in enumerate(report.samples):
             wide.append((mdl.label, sampler, rep, time, False))
-    return summary, wide
+    return {
+        "coupling_summary.csv": (_SUMMARY, summary),
+        "coupling.csv": (
+            ("model_id", "sampler", "replicate", "coalescence_updates", "truncated"),
+            wide,
+        ),
+    }
 
 
-def _verify_rows(args):
-    suite = args.suite
+def _theorem1_rows(args):
+    if args.seed is None:
+        raise model_mod.ModelError("the theorem1 suite requires --seed")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rows = []
-    if suite == "theorem1":
-        if args.seed is None:
-            raise model_mod.ModelError("the theorem1 suite requires --seed")
-        if args.trials < 1:
-            raise ValueError(f"--trials must be at least 1, got {args.trials}")
-        rng = np.random.Generator(np.random.Philox(key=model_mod.philox_key(args.seed)))
-        for trial in range(args.trials):
-            n1 = int(rng.integers(1, 6))
-            n2 = int(rng.integers(1, 6))
-            m = int(rng.integers(0, n1 * n2 + 1))
-            mdl = model_mod.random_bipartite_model(
-                n1, n2, m, args.weight_low, args.weight_high,
-                int(rng.integers(0, 2 ** 62)),
-            )
-            res = spectral.verify_theorem1(mdl, cap=args.cap, lazy=args.lazy)
-            rows.append(
-                ("verify_theorem1", mdl.label, "both", "mixed", "holds",
-                 res["holds"] and res["contraction_holds"])
-            )
-        return rows
-    if suite == "mixing_bounds":
-        mdl = _resolve_model(args)
-        res = mixing.verify_mixing_bounds(
-            mdl, cap=args.cap, threshold=args.threshold, t_max=args.t_max,
-            lazy=args.lazy,
+    rng = np.random.Generator(np.random.Philox(key=model_mod.philox_key(args.seed)))
+    for trial in range(args.trials):
+        n1 = int(rng.integers(1, 6))
+        n2 = int(rng.integers(1, 6))
+        m = int(rng.integers(0, n1 * n2 + 1))
+        mdl = model_mod.random_bipartite_model(
+            n1, n2, m, args.weight_low, args.weight_high,
+            int(rng.integers(0, 2 ** 62)),
         )
-        for metric, value in res.items():
-            rows.append(("verify_mixing_bounds", mdl.label, "both", "mixed", metric, value))
-        return rows
-    if suite == "fill":
-        mdl = _resolve_model(args)
+        res = spectral.verify_theorem1(mdl, cap=args.cap, lazy=args.lazy)
+        rows.append(
+            ("verify_theorem1", mdl.label, "both", "mixed", "holds",
+             res["holds"] and res["contraction_holds"])
+        )
+    return rows
+
+
+def _mixing_bounds_rows(args):
+    mdl = _resolve_model(args)
+    res = mixing.verify_mixing_bounds(
+        mdl, cap=args.cap, threshold=args.threshold, t_max=args.t_max,
+        lazy=args.lazy,
+    )
+    return [("verify_mixing_bounds", mdl.label, "both", "mixed", metric, value)
+            for metric, value in res.items()]
+
+
+def _fill_rows(args):
+    mdl = _resolve_model(args)
+    return [
+        ("verify_fill", mdl.label, sampler, unit, "holds", res["holds"])
         for sampler, unit, res in _per_sampler(
             mdl, args,
             lambda space: mixing.verify_fill_inequality(
                 chain.random_update_kernel(mdl, space, lazy=args.lazy), space
             ),
             mixing.scan_fill_inequality,
-        ):
-            rows.append(("verify_fill", mdl.label, sampler, unit, "holds", res["holds"]))
-        return rows
-    raise ValueError(f"unknown verify suite {suite!r}")
+        )
+    ]
 
 
-def _run_analysis(analysis, args, outputs):
-    if analysis == "spectral":
-        mdl = _resolve_model(args)
-        outputs.write_csv(
-            "spectral.csv",
-            ("experiment", "model_id", "sampler", "unit", "metric", "value"),
-            _spectral_rows(mdl, args),
-        )
-    elif analysis == "mixing":
-        mdl = _resolve_model(args)
-        summary, curve = _mixing_rows(mdl, args)
-        outputs.write_csv(
-            "mixing.csv",
-            ("experiment", "model_id", "sampler", "unit", "metric", "value"),
-            summary,
-        )
-        outputs.write_csv(
-            "mixing_curve.csv",
-            ("model_id", "sampler", "unit", "t", "worst_tv"),
-            curve,
-        )
-    elif analysis == "lumped":
-        summary, curve = _lumped_rows(args)
-        outputs.write_csv(
-            "lumped.csv",
-            ("experiment", "model_id", "sampler", "unit", "metric", "value"),
-            summary,
-        )
-        outputs.write_csv(
-            "lumped_curve.csv",
-            ("model_id", "sampler", "unit", "t", "worst_tv"),
-            curve,
-        )
-    elif analysis == "coupling":
-        mdl = _resolve_model(args)
-        summary, wide = _coupling_rows(mdl, args)
-        outputs.write_csv(
-            "coupling_summary.csv",
-            ("experiment", "model_id", "sampler", "unit", "metric", "value"),
-            summary,
-        )
-        outputs.write_csv(
-            "coupling.csv",
-            ("model_id", "sampler", "replicate", "coalescence_updates", "truncated"),
-            wide,
-        )
-    elif analysis == "verify" and args.command == "verify":  # run has no --suite
-        rows = _verify_rows(args)
-        outputs.write_csv(
-            f"verify_{args.suite}.csv",
-            ("experiment", "model_id", "sampler", "unit", "metric", "value"),
-            rows,
-        )
-    else:
-        raise ValueError(f"unknown analysis {analysis!r}")
+def _verify(args):
+    rows_of, _ = _SUITES[args.suite]
+    return {f"verify_{args.suite}.csv": (_SUMMARY, rows_of(args))}
+
+
+_MODEL_FLAGS = ("model", "model_file", "n", "n1", "n2", "m", "weight_low", "weight_high",
+                "seed")
+
+# verify suite: (its rows from args, the flags it reads)
+_SUITES = {
+    "theorem1": (_theorem1_rows,
+                 ("seed", "trials", "weight_low", "weight_high", "cap", "lazy")),
+    "mixing_bounds": (_mixing_bounds_rows,
+                      (*_MODEL_FLAGS, "cap", "threshold", "t_max", "lazy")),
+    "fill": (_fill_rows, (*_MODEL_FLAGS, "cap", "samplers", "lazy")),
+}
+
+# analysis: (its {file name: (header, rows)} from args, the flags it reads)
+_ANALYSES = {
+    "spectral": (_spectral, (*_MODEL_FLAGS, "cap", "samplers", "lazy")),
+    "mixing": (_mixing, (*_MODEL_FLAGS, "cap", "samplers", "lazy", "threshold", "t_max")),
+    "lumped": (_lumped, ("n_min", "n_max", "samplers", "lazy", "threshold", "t_max")),
+    "coupling": (_coupling,
+                 (*_MODEL_FLAGS, "samplers", "replicates", "max_updates", "lazy")),
+    "verify": (_verify, ("suite", *(f for _, flags in _SUITES.values() for f in flags))),
+}
+
+# The analyses `run --analyses` may select.
+_RUN = ("spectral", "mixing", "lumped", "coupling")
+
+# Every flag once, by destination, in --help order; `--dest-name` is its option.
+_FLAGS = {
+    "model": {"help": "inline model kind: hardcore_knn, random_rbm, zero_rbm"},
+    "model_file": {"help": "path to a JSON model description"},
+    "n": {"type": int, "default": 3},
+    "n1": {"type": int, "default": 3},
+    "n2": {"type": int, "default": 3},
+    "m": {"type": int, "default": None},
+    "weight_low": {"type": float, "default": -2.0},
+    "weight_high": {"type": float, "default": 2.0},
+    "seed": {"type": int, "default": None},
+    "cap": {"type": int, "default": chain.DEFAULT_CAP},
+    "threshold": {"type": float, "default": mixing.DEFAULT_THRESHOLD},
+    "t_max": {"type": int, "default": mixing.DEFAULT_T_MAX},
+    "max_updates": {"type": int, "default": 10 ** 7},
+    "replicates": {"type": int, "default": 50},
+    "samplers": {
+        "default": "random_update,alternating_scan",
+        "help": "comma-separated subset of random_update, alternating_scan",
+    },
+    "lazy": {"action": argparse.BooleanOptionalAction, "default": True},
+    "n_min": {"type": int, "default": 2},
+    "n_max": {"type": int, "default": 8},
+    "trials": {"type": int, "default": 20},
+    "out": {
+        "default": None,
+        "help": f"output directory (default: ${ENV_OUT_DIR} or the working directory)",
+    },
+    "suite": {"choices": tuple(_SUITES), "default": "theorem1"},
+    "analyses": {
+        "default": "spectral,mixing",
+        "help": f"comma-separated subset of {', '.join(_RUN)}",
+    },
+}
+
+
+def _run_analyses(text):
+    analyses = [a.strip() for a in text.split(",") if a.strip()]
+    if not analyses:
+        raise ValueError("no analyses selected")
+    unknown = [a for a in analyses if a not in _RUN]
+    if unknown:
+        raise ValueError(f"unknown analyses {unknown}: choose from {', '.join(_RUN)}")
+    return analyses
 
 
 def _manifest(args, analyses):
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    resolved["analyses"] = analyses
+    resolved = dict(vars(args), analyses=analyses)
     return json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n"
-
-
-def _add_common(parser):
-    parser.add_argument("--model", help="inline model kind: hardcore_knn, random_rbm, zero_rbm")
-    parser.add_argument("--model-file", help="path to a JSON model description")
-    parser.add_argument("--n", type=int, default=3)
-    parser.add_argument("--n1", type=int, default=3)
-    parser.add_argument("--n2", type=int, default=3)
-    parser.add_argument("--m", type=int, default=None)
-    parser.add_argument("--weight-low", type=float, default=-2.0)
-    parser.add_argument("--weight-high", type=float, default=2.0)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--cap", type=int, default=chain.DEFAULT_CAP)
-    parser.add_argument("--threshold", type=float, default=mixing.DEFAULT_THRESHOLD)
-    parser.add_argument("--t-max", type=int, default=mixing.DEFAULT_T_MAX)
-    parser.add_argument("--max-updates", type=int, default=10 ** 7)
-    parser.add_argument("--replicates", type=int, default=50)
-    parser.add_argument(
-        "--samplers", default="random_update,alternating_scan",
-        help="comma-separated subset of random_update, alternating_scan",
-    )
-    parser.add_argument("--lazy", action=argparse.BooleanOptionalAction, default=True)
-    parser.add_argument("--n-min", type=int, default=2)
-    parser.add_argument("--n-max", type=int, default=8)
-    parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument(
-        "--out", default=None,
-        help=f"output directory (default: ${ENV_OUT_DIR} or the working directory)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,18 +370,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scan-order spectral and mixing experiments for bipartite Gibbs samplers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectral", "mixing", "lumped", "coupling", "run"):
-        p = sub.add_parser(name)
-        _add_common(p)
-    verify = sub.add_parser("verify")
-    _add_common(verify)
-    verify.add_argument(
-        "--suite", choices=("theorem1", "mixing_bounds", "fill"), default="theorem1"
-    )
-    sub.choices["run"].add_argument(
-        "--analyses", default="spectral,mixing",
-        help="comma-separated subset of spectral, mixing, lumped, coupling",
-    )
+    commands = {name: flags for name, (_, flags) in _ANALYSES.items()}
+    commands["run"] = ("analyses", *(f for a in _RUN for f in commands[a]))
+    for name, flags in commands.items():
+        command = sub.add_parser(name)
+        for dest, kwargs in _FLAGS.items():
+            if dest in flags or dest == "out":  # main reads --out
+                command.add_argument("--" + dest.replace("_", "-"), **kwargs)
     return parser
 
 
@@ -389,16 +387,14 @@ def main(argv=None) -> int:
         return EXIT_USER_ERROR if exc.code else EXIT_OK
     out_dir = args.out or os.environ.get(ENV_OUT_DIR) or os.getcwd()
     outputs = _OutputSet(out_dir)
-    if args.command == "run":
-        analyses = [a.strip() for a in args.analyses.split(",") if a.strip()]
-    else:
-        analyses = [args.command]
-    if not analyses:
-        print("scangibbs: no analyses selected", file=sys.stderr)
-        return EXIT_USER_ERROR
+    analyses = [args.command]
     try:
+        if args.command == "run":
+            analyses = _run_analyses(args.analyses)
         for analysis in analyses:
-            _run_analysis(analysis, args, outputs)
+            produce, _ = _ANALYSES[analysis]
+            for name, (header, rows) in produce(args).items():
+                outputs.write_csv(name, header, rows)
         outputs.write_text("run_manifest.json", _manifest(args, analyses))
     except _NUMERICAL_ERRORS as exc:
         outputs.rollback()

@@ -29,7 +29,7 @@ class BipartiteStructureError(ModelError):
     """An edge connects two variables of the same partition."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteModel:
     """Pairwise model over two variable partitions.
 
@@ -39,7 +39,8 @@ class BipartiteModel:
     only stored form of the edges; `edges` derives (u, v, table) triples
     from them in edge order, for readers outside the package. unaries is
     an (n, S) array. The only built-in hard constraint is "hardcore": no
-    edge may have both endpoints at value 1.
+    edge may have both endpoints at value 1. Models compare and hash by
+    identity: field-wise equality of the arrays has no truth value.
     """
 
     n1: int
@@ -282,6 +283,8 @@ def model_from_dict(obj: dict) -> BipartiteModel:
             return _mrf_from_dict(obj)
     except KeyError as exc:
         raise ModelError(f"model JSON for kind {kind!r} is missing field {exc}") from exc
+    except TypeError as exc:
+        raise ModelError(f"model JSON for kind {kind!r} has a malformed field: {exc}") from exc
     raise ModelError(f"unknown model kind {kind!r}")
 
 

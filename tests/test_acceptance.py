@@ -255,9 +255,7 @@ def test_criterion_06_tv_decay_inequality(report):
             scan_kernels(mdl, space)["P_AS"],
         ]
         for kernel in kernels:
-            res = sg.verify_fill_inequality(
-                kernel, space, t_samples=(1, 2, 4, 8, 16, 32), slack=1e-10
-            )
+            res = sg.verify_fill_inequality(kernel, space)
             worst = min(
                 worst, min(res["worst_margin_by_t"].values())
             )

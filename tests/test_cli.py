@@ -1,8 +1,10 @@
 import csv
 import json
+import shlex
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,19 @@ _MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
     ["spectral", "--model-file", {**_MRF, "edges": [{"u": 0, "v": 5, "table": [0, 0, 0, 1]}]}],
     ["spectral", "--model-file", {**_MRF, "edges": [{"u": 0, "v": 1, "table": [0, 0, 1]}]}],
     ["spectral", "--model-file", {**_MRF, "partition": [0, 2]}],
+    # malformed files of the other kinds
+    ["spectral", "--model-file", {"kind": "dbm", "layer_sizes": 3, "weights": [[[1.0]]],
+                                  "biases": [[0.0], [0.0]]}],
+    ["spectral", "--model-file", {"kind": "dbm", "layer_sizes": [1, 1], "weights": 5,
+                                  "biases": [[0.0], [0.0]]}],
+    ["spectral", "--model-file", {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 1,
+                                  "weight_low": 0.0, "weight_high": 1.0, "seed": None}],
+    ["spectral", "--model-file", {"kind": "hardcore_knn", "n": [1]}],
+    # flags the subcommand does not read
+    ["lumped", "--seed", "3"],
+    ["coupling", "--model", "hardcore_knn", "--seed", "1", "--cap", "8"],
+    ["spectral", "--model", "hardcore_knn", "--threshold", "0.1"],
+    ["run", "--model", "hardcore_knn", "--trials", "2"],
 ])
 def test_bad_input_is_user_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -345,8 +360,68 @@ def test_kernel_check_failure_is_numerical(tmp_path, monkeypatch, capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert run_cli(["spectral", "--help"]) == cli.EXIT_OK
+    assert run_cli(["mixing", "--help"]) == cli.EXIT_OK
     assert "--threshold" in capsys.readouterr().out
+    assert run_cli(["spectral", "--help"]) == cli.EXIT_OK
+    assert "--threshold" not in capsys.readouterr().out
+
+
+# Default and help text of every flag; each subcommand takes a subset.
+_FLAG_DEFAULTS = {
+    "model": (None, "inline model kind: hardcore_knn, random_rbm, zero_rbm"),
+    "model_file": (None, "path to a JSON model description"),
+    "n": (3, None),
+    "n1": (3, None),
+    "n2": (3, None),
+    "m": (None, None),
+    "weight_low": (-2.0, None),
+    "weight_high": (2.0, None),
+    "seed": (None, None),
+    "cap": (4096, None),
+    "threshold": (1.0 / (2.0 * np.e), None),
+    "t_max": (10 ** 6, None),
+    "max_updates": (10 ** 7, None),
+    "replicates": (50, None),
+    "samplers": ("random_update,alternating_scan",
+                 "comma-separated subset of random_update, alternating_scan"),
+    "lazy": (True, None),
+    "n_min": (2, None),
+    "n_max": (8, None),
+    "trials": (20, None),
+    "out": (None, "output directory (default: $SCANGIBBS_OUT_DIR or the working directory)"),
+    "suite": ("theorem1", None),
+    "analyses": ("spectral,mixing",
+                 "comma-separated subset of spectral, mixing, lumped, coupling"),
+}
+
+
+def test_each_subcommand_takes_only_its_flags():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    counts = {}
+    for name, parser in subparsers.items():
+        actions = [a for a in parser._actions if a.dest != "help"]
+        counts[name] = len(actions)
+        for action in actions:
+            assert action.option_strings[0] == "--" + action.dest.replace("_", "-")
+            assert (action.default, action.help) == _FLAG_DEFAULTS[action.dest], (
+                name, action.dest)
+    assert counts == {"spectral": 13, "mixing": 15, "lumped": 7, "coupling": 14,
+                      "verify": 17, "run": 20}
+
+
+def _readme_examples():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("Examples:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("scangibbs ")]
+
+
+def test_readme_examples_parse():
+    examples = _readme_examples()
+    assert len(examples) >= 8
+    parser = cli.build_parser()
+    for line in examples:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def _model_file(path, model):
@@ -395,7 +470,7 @@ def test_cli_matches_dense_oracle(engine_models, tmp_path, lazy):
             assert mixing_rows[sampler, "truncated"] == cli._format_cell(mix.truncated)
             for row in (r for r in curve if r["sampler"] == sampler):
                 t = int(row["t"])
-                dense = mixing._worst_tv(mixing.matrix_power(kernel.matrix, t), space.pi)
+                dense = mixing._worst_tv(np.linalg.matrix_power(kernel.matrix, t), space.pi)
                 assert float(row["worst_tv"]) == pytest.approx(dense, abs=1e-12), (where, t)
             fill = sg.verify_fill_inequality(kernel, space)
             assert fill_rows[sampler, "holds"] == cli._format_cell(fill["holds"]), where

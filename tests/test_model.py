@@ -277,6 +277,14 @@ def test_edges_view_follows_the_arrays():
     assert model.tables.dtype == float and model.tables.shape == (7, 2, 2)
 
 
+def test_models_compare_and_hash_by_identity():
+    a = sg.random_bipartite_model(2, 3, 4, -1.0, 1.0, seed=5)
+    b = sg.random_bipartite_model(2, 3, 4, -1.0, 1.0, seed=5)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    assert hash(a) == hash(a)
+
+
 def test_model_from_json_kinds():
     rbm = sg.model_from_json(json.dumps(
         {"kind": "rbm", "weights": [[0.5]], "bias1": [0.0], "bias2": [0.1]}
