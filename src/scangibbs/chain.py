@@ -197,7 +197,8 @@ def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
     A move of variable x changes x alone, so each off-diagonal entry
     comes from one site. The diagonal adds the holding probabilities in
     site order, so every entry equals the sum of the single-site kernels
-    taken one after another, bit for bit.
+    taken one after another, bit for bit. Every diagonal entry is
+    stored, as an explicit zero where pi vanishes at the state.
     """
     N = space.size
     states = np.arange(N)
@@ -213,10 +214,9 @@ def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
         rows.append(r)
         cols.append(targets[r, s])
         probs.append(site[r, s])
-    kept = np.flatnonzero(diagonal)
-    rows.append(kept)
-    cols.append(kept)
-    probs.append(diagonal[kept])
+    rows.append(states)
+    cols.append(states)
+    probs.append(diagonal)
     matrix = sp.csr_array(
         (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))),
         shape=(N, N),
@@ -243,12 +243,16 @@ def random_update_sparse(
 ) -> sp.csr_array:
     """The random-update kernel as a sparse matrix, at most n(S-1)+1 entries a row.
 
-    It gets the checks of make_kernel but no renormalization.
+    The lazy form is mixed on the data array: the diagonal, stored in
+    every row, becomes 0.5 x + 0.5 and every other entry 0.5 x. It gets
+    the checks of make_kernel but no renormalization.
     """
-    matrix = _site_sum(model, space) / model.n
+    matrix = _site_sum(model, space)
+    matrix.data *= 1.0 / model.n
     if lazy:
-        matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
-    matrix = sp.csr_array(matrix)
+        matrix.data *= 0.5
+        rows = np.repeat(np.arange(space.size), np.diff(matrix.indptr))
+        matrix.data[matrix.indices == rows] += 0.5
     _check_stochastic(matrix.min(), matrix.sum(axis=1))
     return matrix
 

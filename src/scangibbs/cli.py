@@ -138,8 +138,8 @@ def _spectral(args):
     rows = []
     for sampler, unit, report in _per_sampler(
         mdl, args,
-        lambda space: spectral.random_update_report(
-            chain.random_update_sparse(mdl, space, args.lazy), space),
+        lambda space: spectral.random_update_report(spectral.symmetric_form(
+            chain.random_update_sparse(mdl, space, args.lazy), space.pi), space),
         spectral.scan_report,
     ):
         for metric, value in (
@@ -284,7 +284,15 @@ def _fill_rows(args):
 
 
 def _verify(args):
-    rows_of, _ = _SUITES[args.suite]
+    rows_of, read = _SUITES[args.suite]
+    # verify's suite flags are unset unless given (build_parser).
+    unread = sorted(set(vars(args)) - {"command", "suite", "out", *read})
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        raise ValueError(f"the {args.suite} suite does not read {flags}")
+    for dest in read:
+        if not hasattr(args, dest):
+            setattr(args, dest, _FLAGS[dest].get("default"))
     return {f"verify_{args.suite}.csv": (_SUMMARY, rows_of(args))}
 
 
@@ -375,8 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, flags in commands.items():
         command = sub.add_parser(name)
         for dest, kwargs in _FLAGS.items():
-            if dest in flags or dest == "out":  # main reads --out
-                command.add_argument("--" + dest.replace("_", "-"), **kwargs)
+            if dest not in flags and dest != "out":  # main reads --out
+                continue
+            if name == "verify" and dest not in ("suite", "out"):
+                # unset unless given, so _verify can tell which flags were given
+                kwargs = {**kwargs, "default": argparse.SUPPRESS}
+            command.add_argument("--" + dest.replace("_", "-"), **kwargs)
     return parser
 
 

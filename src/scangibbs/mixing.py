@@ -252,12 +252,13 @@ def _symmetric_deviation(rows, starts, r, out=None) -> np.ndarray:
 
 
 def active_start_mixing_time(
-    matrix: sp.csr_array,
+    symmetric: sp.csr_array,
     space: StateSpace,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
 ) -> int | None:
-    """Worst-start mixing time of a sparse pi-reversible kernel P.
+    """Worst-start mixing time of a sparse pi-reversible kernel P, from
+    its symmetric form S = D^{1/2} P D^{-1/2} (spectral.symmetric_form).
 
     It is the mixing time of exact_mixing_time(method="doubling"), or
     None where that report is truncated at t_max, up to rounding. Each
@@ -269,13 +270,11 @@ def active_start_mixing_time(
     settled rows only if the bracket is still open; the bisection then
     lifts the remaining rows by the stored squares, largest first.
 
-    The powers are those of the symmetric S = D^{1/2} P D^{-1/2}
-    (spectral.symmetric_form): S^(2s) = S^s (S^s)^T, so every full square
-    is symmetric (_symmetric_square) and d_x(t) is read from row x of
-    S^t (_symmetric_deviation).
+    The powers are those of S: S^(2s) = S^s (S^s)^T, so every full
+    square is symmetric (_symmetric_square) and d_x(t) is read from row
+    x of S^t (_symmetric_deviation).
     """
     _check_search(threshold, t_max)
-    step = symmetric_form(matrix, space.pi)
     pi = space.pi
     if 1.0 - float(pi.min()) <= threshold:
         return 0
@@ -287,11 +286,11 @@ def active_start_mixing_time(
         deviation = _symmetric_deviation(rows, starts, r, scratch[: len(starts)])
         return 0.5 * deviation > threshold
 
-    active = np.flatnonzero(above(step.toarray(), everyone))
+    active = np.flatnonzero(above(symmetric.toarray(), everyone))
     if not active.size:
         return 1
     # squares[k] = S^(2^k); active holds the starts above the threshold at s.
-    squares = [step]
+    squares = [symmetric]
     s = 1
     while True:
         if s >= t_max:
@@ -335,19 +334,20 @@ def verify_mixing_bounds(
     (b) T_mix(AS) <= log(4e^2 / pi_min) T_rel(AS)
     (c) T_mix(AS) <= log(4e^2 / pi_min) (T_mix(RU) + 1)
 
-    The random-update side runs on one sparse kernel: T_rel(RU) from
-    its SLEM (random_update_report) and T_mix(RU) from its powers,
-    searched on the starts not yet mixed (active_start_mixing_time).
+    The random-update side runs on the symmetric form S of one sparse
+    kernel, formed once: T_rel(RU) from its SLEM (random_update_report)
+    and T_mix(RU) from its powers, searched on the starts not yet mixed
+    (active_start_mixing_time).
     The scan side runs on the joint table (scan_report, scan_mixing_time).
     """
     space = chain.enumerate_state_space(model, cap=cap)
     table = chain.joint_table(model, space)
     pi_min = float(space.pi.min())
 
-    p_ru = chain.random_update_sparse(model, space, lazy)
-    t_rel_ru = random_update_report(p_ru, space).relaxation_time
+    s_ru = symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
+    t_rel_ru = random_update_report(s_ru, space).relaxation_time
     t_rel_as = scan_report(table).relaxation_time
-    t_mix_ru = active_start_mixing_time(p_ru, space, threshold, t_max)
+    t_mix_ru = active_start_mixing_time(s_ru, space, threshold, t_max)
     # scan_report has checked the scan's ergodicity and
     # active_start_mixing_time the threshold and t_max.
     mix_as = _scan_search(table, threshold, t_max)

@@ -262,6 +262,14 @@ def model_from_json(source: str) -> BipartiteModel:
     return model_from_dict(obj)
 
 
+def _integer(obj: dict, key: str) -> int:
+    """The JSON integer obj[key]; a float, bool or anything else is a ModelError."""
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError(f"model JSON field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(obj: dict) -> BipartiteModel:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ModelError("model JSON must be an object with a 'kind' field")
@@ -272,12 +280,12 @@ def model_from_dict(obj: dict) -> BipartiteModel:
         if kind == "dbm":
             return build_dbm(obj["layer_sizes"], obj["weights"], obj["biases"])
         if kind == "hardcore_knn":
-            return build_hardcore_complete_bipartite(int(obj["n"]))
+            return build_hardcore_complete_bipartite(_integer(obj, "n"))
         if kind == "random_rbm":
             return random_bipartite_model(
-                int(obj["n1"]), int(obj["n2"]), int(obj["m"]),
+                _integer(obj, "n1"), _integer(obj, "n2"), _integer(obj, "m"),
                 float(obj["weight_low"]), float(obj["weight_high"]),
-                int(obj["seed"]),
+                _integer(obj, "seed"),
             )
         if kind == "mrf":
             return _mrf_from_dict(obj)

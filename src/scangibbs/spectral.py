@@ -161,44 +161,57 @@ def scan_report(table: chain.JointTable) -> SpectralReport:
 def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
     """D^{1/2} P D^{-1/2} of an ergodic sparse pi-reversible kernel P.
 
-    Checks detailed balance, the symmetry of the conjugate and
-    ergodicity, then averages the conjugate with its transpose, so the
-    result is exactly symmetric.
+    P is in canonical CSR form (sorted indices, no duplicates), as
+    random_update_sparse returns it. Each stored entry (x, y) is paired
+    with its transpose (y, x) by one sort of the pattern; an entry
+    without one raises NumericalError. Detailed balance and the symmetry
+    of the conjugate are checked on the pairs, and ergodicity on P. The
+    result averages the conjugate with its transpose on P's own indptr
+    and indices, so it is exactly symmetric. An ergodic kernel's
+    stationary law is positive, so a zero in pi raises NonErgodicError
+    before any division by sqrt(pi).
     """
-    flux = matrix.multiply(pi[:, None])
-    violation = abs(flux - flux.T).max()
+    if not pi.all():
+        raise NonErgodicError("kernel is not ergodic: pi vanishes at a state")
+    cols, indptr = matrix.indices, matrix.indptr
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(indptr))
+    # Sorted by (column, row), the k-th entry is the transpose of the k-th stored one.
+    transpose = np.lexsort((rows, cols))
+    if not (np.array_equal(cols[transpose], rows) and np.array_equal(rows[transpose], cols)):
+        raise NumericalError("kernel has an entry whose transpose is not stored")
+    flux = pi[rows] * matrix.data
+    violation = np.max(np.abs(flux - flux[transpose]))
     if violation > _REVERSIBILITY_TOL:
         raise NumericalError(f"kernel violates detailed balance by {violation}")
     sqrt_pi = np.sqrt(pi)
-    m = sp.csr_array(matrix.multiply(sqrt_pi[:, None]).multiply(1.0 / sqrt_pi[None, :]))
-    asym = abs(m - m.T).max()
+    m = (matrix.data * sqrt_pi[rows]) * (1.0 / sqrt_pi)[cols]
+    asym = np.max(np.abs(m - m[transpose]))
     if asym > _SYMMETRY_TOL:
         raise NumericalError(
             f"kernel not symmetric after conjugation: asymmetry {asym}"
         )
     if not is_ergodic(matrix):
         raise NonErgodicError("kernel is not ergodic")
-    return 0.5 * (m + m.T)
+    return sp.csr_array((0.5 * (m + m[transpose]), cols, indptr), shape=matrix.shape)
 
 
-def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
+def sparse_deviation_norm(symmetric: sp.csr_array, space: StateSpace) -> float:
     """L2(pi) norm of P - S_pi for a sparse pi-reversible kernel P.
 
-    It is the largest |eigenvalue| of symmetric_form(P) deflated by
-    sqrt(pi) sqrt(pi)^T. Up to _DENSE_EIGEN_MAX states that goes to a
-    dense eigensolver; above it ARPACK finds both ends of its spectrum
-    from a fixed start vector, so results repeat exactly, and again on
-    the spectrum shifted by 1 if that does not converge.
+    It is the largest |eigenvalue| of symmetric = symmetric_form(P)
+    deflated by sqrt(pi) sqrt(pi)^T. Up to _DENSE_EIGEN_MAX states that
+    goes to a dense eigensolver; above it ARPACK finds both ends of its
+    spectrum from a fixed start vector, so results repeat exactly, and
+    again on the spectrum shifted by 1 if that does not converge.
     """
-    m = symmetric_form(matrix, space.pi)
     sqrt_pi = np.sqrt(space.pi)
     N = space.size
     if N <= _DENSE_EIGEN_MAX:
-        eigs = np.linalg.eigvalsh(m.toarray() - np.outer(sqrt_pi, sqrt_pi))
+        eigs = np.linalg.eigvalsh(symmetric.toarray() - np.outer(sqrt_pi, sqrt_pi))
         return float(np.max(np.abs(eigs)))
 
     def deflated(v):
-        return m @ v - sqrt_pi * (sqrt_pi @ v)
+        return symmetric @ v - sqrt_pi * (sqrt_pi @ v)
 
     v0 = np.random.default_rng(0).uniform(0.5, 1.5, N)
     # An end of the spectrum at a cluster of zeros, as in many non-lazy
@@ -214,9 +227,9 @@ def sparse_deviation_norm(matrix: sp.csr_array, space: StateSpace) -> float:
     raise NumericalError(f"ARPACK did not converge: {failure}") from failure
 
 
-def random_update_report(matrix: sp.csr_array, space: StateSpace) -> SpectralReport:
-    """Spectral report of the reversible random-update kernel, from its sparse form."""
-    slem = sparse_deviation_norm(matrix, space)
+def random_update_report(symmetric: sp.csr_array, space: StateSpace) -> SpectralReport:
+    """Spectral report of the reversible random-update kernel, from its symmetric form."""
+    slem = sparse_deviation_norm(symmetric, space)
     if slem >= 1.0:
         raise NonErgodicError("random-update kernel has zero spectral gap")
     return SpectralReport(
@@ -238,7 +251,8 @@ def verify_theorem1(
     rhs = SLEM^2 from random_update_report.
     """
     space = chain.enumerate_state_space(model, cap=cap)
-    ru = random_update_report(chain.random_update_sparse(model, space, lazy), space)
+    s_ru = symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
+    ru = random_update_report(s_ru, space)
     scan = scan_report(chain.joint_table(model, space))
     lhs = scan.second_largest_modulus
     rhs = ru.second_largest_modulus ** 2

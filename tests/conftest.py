@@ -51,5 +51,20 @@ def engine_models(zero_rbm_22, asymmetric_rbm):
     return models
 
 
+@pytest.fixture(scope="session")
+def exact_small_models():
+    """One seeded random model per shape n1 + n2 <= 7, weights in [-2, 2], and
+    hardcore K_{n,n} for n = 1..6: the shapes of the exact_small benchmark."""
+    rng = np.random.default_rng(23)
+    models = [sg.build_hardcore_complete_bipartite(n) for n in range(1, 7)]
+    for total in range(2, 8):
+        for n1 in range(1, total):
+            n2 = total - n1
+            m = int(rng.integers(0, n1 * n2 + 1))
+            models.append(sg.random_bipartite_model(
+                n1, n2, m, -2.0, 2.0, seed=int(rng.integers(0, 2 ** 62))))
+    return models
+
+
 def space_of(model, cap=4096):
     return sg.enumerate_state_space(model, cap=cap)

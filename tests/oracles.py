@@ -4,7 +4,8 @@ The library runs the alternating scan on the joint table of the two
 partitions and the random-update spectrum on the sparse kernel. Its
 results are checked against these: the per-configuration Hamiltonian and
 conditionals, the dense single-site and scan kernels, the single-site
-kernels summed one after another, the L2(pi)
+kernels summed one after another, the lazy kernel and the symmetric
+form D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
 operator norm, the exact rational random-update kernel, the hardcore
 lumping maps and the TV distance of two distributions.
 """
@@ -21,6 +22,7 @@ from scangibbs.chain import (
     UNIT_HALF_EPOCH,
     UNIT_VARIABLE,
     Kernel,
+    NumericalError,
     StateSpace,
     make_kernel,
 )
@@ -33,7 +35,7 @@ from scangibbs.model import (
     ModelError,
     validate_bipartite,
 )
-from scangibbs.spectral import _conjugate
+from scangibbs.spectral import _REVERSIBILITY_TOL, _SYMMETRY_TOL, NonErgodicError, _conjugate
 
 
 def model_from_edges(n1, n2, domain_size, edges, unaries, **kwargs) -> BipartiteModel:
@@ -190,6 +192,34 @@ def scan_kernels(model: BipartiteModel, space: StateSpace) -> dict[str, Kernel]:
 def stationary_projector(space: StateSpace) -> Kernel:
     """Rank-one kernel whose every row is pi."""
     return Kernel(np.tile(space.pi, (space.size, 1)), UNIT_COMPOSITE, "S_pi")
+
+
+def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
+    """spectral.symmetric_form in scipy.sparse operations, the reference.
+
+    Checks detailed balance, the symmetry of the conjugate and
+    ergodicity, then averages the conjugate with its transpose.
+    """
+    flux = matrix.multiply(pi[:, None])
+    violation = abs(flux - flux.T).max()
+    if violation > _REVERSIBILITY_TOL:
+        raise NumericalError(f"kernel violates detailed balance by {violation}")
+    sqrt_pi = np.sqrt(pi)
+    m = sp.csr_array(matrix.multiply(sqrt_pi[:, None]).multiply(1.0 / sqrt_pi[None, :]))
+    asym = abs(m - m.T).max()
+    if asym > _SYMMETRY_TOL:
+        raise NumericalError(f"kernel not symmetric after conjugation: asymmetry {asym}")
+    if not chain.is_ergodic(matrix):
+        raise NonErgodicError("kernel is not ergodic")
+    return 0.5 * (m + m.T)
+
+
+def random_update_sparse_sum(model: BipartiteModel, space: StateSpace, lazy: bool = True):
+    """chain.random_update_sparse as the sparse sum 0.5 I + 0.5 P, the reference."""
+    matrix = chain._site_sum(model, space) / model.n
+    if lazy:
+        matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
+    return sp.csr_array(matrix)
 
 
 def general_operator_norm(operator, space: StateSpace) -> float:

@@ -9,6 +9,7 @@ from scangibbs.chain import StateSpaceCapError
 
 from oracles import (
     model_from_edges,
+    random_update_sparse_sum,
     scan_kernels,
     sequential_site_sum,
     single_site_kernel,
@@ -270,6 +271,19 @@ def test_site_sum_is_the_sequential_sum_byte_for_byte(engine_models):
         for field in ("indptr", "indices", "data"):
             a, b = getattr(fast, field), getattr(slow, field)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (model.label, field)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_random_update_sparse_is_the_sparse_sum_bit_for_bit(
+        engine_models, exact_small_models, lazy):
+    # the lazy mix on the data array against 0.5 I + 0.5 P in sparse operations
+    for model in (*engine_models, *exact_small_models):
+        space = sg.enumerate_state_space(model)
+        fast = chain.random_update_sparse(model, space, lazy)
+        slow = random_update_sparse_sum(model, space, lazy)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(fast, field), getattr(slow, field)), (
+                model.label, field)
 
 
 @pytest.mark.parametrize("shift, moved, match", [

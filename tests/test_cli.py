@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shlex
@@ -320,6 +321,20 @@ _MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
     ["coupling", "--model", "hardcore_knn", "--seed", "1", "--cap", "8"],
     ["spectral", "--model", "hardcore_knn", "--threshold", "0.1"],
     ["run", "--model", "hardcore_knn", "--trials", "2"],
+    # flags the verify suite does not read
+    ["verify", "--suite", "fill", "--model", "hardcore_knn", "--n", "2", "--threshold", "0.01",
+     "--trials", "5"],
+    ["verify", "--suite", "theorem1", "--seed", "1", "--trials", "2", "--model", "zero_rbm"],
+    ["verify", "--suite", "mixing_bounds", "--model", "zero_rbm", "--samplers", "random_update"],
+    # model file fields that must be JSON integers
+    ["spectral", "--model-file", {"kind": "hardcore_knn", "n": 2.7}],
+    ["spectral", "--model-file", {"kind": "hardcore_knn", "n": 2.0}],
+    ["spectral", "--model-file", {"kind": "hardcore_knn", "n": True}],
+    ["spectral", "--model-file", {"kind": "hardcore_knn", "n": "2"}],
+    ["spectral", "--model-file", {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 1.5,
+                                  "weight_low": 0.0, "weight_high": 1.0, "seed": 1}],
+    ["spectral", "--model-file", {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 1,
+                                  "weight_low": 0.0, "weight_high": 1.0, "seed": 1.0}],
 ])
 def test_bad_input_is_user_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -331,6 +346,17 @@ def test_bad_input_is_user_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_verify_fills_in_only_the_flags_its_suite_reads(tmp_path):
+    argv = ["verify", "--suite", "theorem1", "--seed", "1", "--trials", "1", "--no-lazy",
+            "--out", str(tmp_path)]
+    assert run_cli(argv) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert {key: manifest.pop(key) for key in ("analyses", "command", "out", "suite")} == {
+        "analyses": ["verify"], "command": "verify", "out": str(tmp_path), "suite": "theorem1"}
+    assert manifest == {"seed": 1, "trials": 1, "lazy": False, "weight_low": -2.0,
+                        "weight_high": 2.0, "cap": 4096}
 
 
 def test_negative_edge_count_is_user_error(tmp_path, capsys):
@@ -403,7 +429,11 @@ def test_each_subcommand_takes_only_its_flags():
         counts[name] = len(actions)
         for action in actions:
             assert action.option_strings[0] == "--" + action.dest.replace("_", "-")
-            assert (action.default, action.help) == _FLAG_DEFAULTS[action.dest], (
+            default, help_text = _FLAG_DEFAULTS[action.dest]
+            if name == "verify" and action.dest not in ("suite", "out"):
+                # unset unless given; _verify fills in the defaults its suite reads
+                default = argparse.SUPPRESS
+            assert (action.default, action.help) == (default, help_text), (
                 name, action.dest)
     assert counts == {"spectral": 13, "mixing": 15, "lumped": 7, "coupling": 14,
                       "verify": 17, "run": 20}

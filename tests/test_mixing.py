@@ -193,6 +193,11 @@ def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
         assert result["t_mix_as"] == exact_mixing_time(p_as, space, method="doubling").mixing_time
 
 
+def _ru_symmetric(model, space, lazy=True):
+    """S = D^{1/2} P D^{-1/2} of the sparse random-update kernel P."""
+    return spectral.symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
+
+
 def _per_start_tv(kernel, space, t):
     power = np.linalg.matrix_power(kernel.matrix, t)
     return 0.5 * np.abs(power - space.pi).sum(axis=1)
@@ -205,8 +210,8 @@ def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
         space = sg.enumerate_state_space(model)
         p_ru = sg.random_update_kernel(model, space, lazy=lazy)
         expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
-        sparse = chain.random_update_sparse(model, space, lazy)
-        assert mixing.active_start_mixing_time(sparse, space, threshold) == expected, model.label
+        s_ru = _ru_symmetric(model, space, lazy)
+        assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected, model.label
 
 
 def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
@@ -214,8 +219,7 @@ def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
     # still above the threshold at t = 22, so no single row can be tracked.
     space = sg.enumerate_state_space(asymmetric_rbm)
     p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
-    t_mix = mixing.active_start_mixing_time(
-        chain.random_update_sparse(asymmetric_rbm, space), space)
+    t_mix = mixing.active_start_mixing_time(_ru_symmetric(asymmetric_rbm, space), space)
     assert t_mix == exact_mixing_time(p, space, method="doubling").mixing_time == 23
     last = _per_start_tv(p, space, t_mix - 1)
     assert np.argmax(_per_start_tv(p, space, 16)) != np.argmax(last)
@@ -233,8 +237,8 @@ def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkey
         return clamp(matrix)
 
     monkeypatch.setattr(mixing, "_clamp", counting)
-    sparse = chain.random_update_sparse(asymmetric_rbm, space)
-    assert mixing.active_start_mixing_time(sparse, space) == 23
+    s_ru = _ru_symmetric(asymmetric_rbm, space)
+    assert mixing.active_start_mixing_time(s_ru, space) == 23
 
     def above(t):
         return int(np.sum(_per_start_tv(p, space, t) > mixing.DEFAULT_THRESHOLD))
@@ -260,8 +264,7 @@ def test_active_start_squares_are_byte_symmetric(engine_models, monkeypatch, laz
     monkeypatch.setattr(mixing, "_symmetric_square", recording)
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        mixing.active_start_mixing_time(
-            chain.random_update_sparse(model, space, lazy), space, threshold=0.01)
+        mixing.active_start_mixing_time(_ru_symmetric(model, space, lazy), space, threshold=0.01)
     assert len(squares) > 2 * len(engine_models)
     for square in squares:
         assert square.tobytes() == np.ascontiguousarray(square.T).tobytes()
@@ -273,8 +276,7 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
         p = sg.random_update_kernel(model, space, lazy=lazy).matrix
-        s = spectral.symmetric_form(chain.random_update_sparse(model, space, lazy),
-                                    space.pi).toarray()
+        s = _ru_symmetric(model, space, lazy).toarray()
         starts, r = np.arange(space.size), np.sqrt(space.pi)
         for t in range(1, 9):
             expected = mixing._abs_deviation(np.linalg.matrix_power(p, t), space.pi)
@@ -285,34 +287,36 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
 def test_active_start_search_at_t0_and_t1(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
     p = sg.random_update_kernel(zero_rbm_22, space, lazy=False)
-    sparse = chain.random_update_sparse(zero_rbm_22, space, lazy=False)
+    s_ru = _ru_symmetric(zero_rbm_22, space, lazy=False)
     # TV is 15/16 at t = 0; after one update P(x, .) meets pi = 1/16 only
     # on x and its 4 neighbours, so TV = 1 - 5/16
     assert _per_start_tv(p, space, 1).max() == pytest.approx(0.6875)
     for threshold, expected in ((0.95, 0), (0.7, 1), (0.6, 2)):
-        assert mixing.active_start_mixing_time(sparse, space, threshold) == expected
+        assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected
         assert exact_mixing_time(p, space, threshold, method="doubling").mixing_time == expected
 
 
 def test_active_start_search_truncation(k22):
     model, space = k22
     p = sg.random_update_kernel(model, space, lazy=True)
-    sparse = chain.random_update_sparse(model, space)
+    s_ru = _ru_symmetric(model, space)
     for t_max in range(1, 40):
         report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
         expected = None if report.truncated else report.mixing_time
-        assert mixing.active_start_mixing_time(sparse, space, t_max=t_max) == expected, t_max
+        assert mixing.active_start_mixing_time(s_ru, space, t_max=t_max) == expected, t_max
     for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 0), (math.nan, 3), (0.0, 3), (1.0, 3)):
         with pytest.raises(MixingError):
-            mixing.active_start_mixing_time(sparse, space, threshold, t_max)
+            mixing.active_start_mixing_time(s_ru, space, threshold, t_max)
         with pytest.raises(MixingError):
             exact_mixing_time(p, space, threshold, t_max)
 
 
 def test_active_start_search_rejects_non_ergodic():
     space = sg.enumerate_state_space(sg.build_rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
+    # the search takes S from symmetric_form, which checks ergodicity
     with pytest.raises(sg.spectral.NonErgodicError):
-        mixing.active_start_mixing_time(sp.eye_array(space.size, format="csr"), space)
+        mixing.active_start_mixing_time(
+            spectral.symmetric_form(sp.eye_array(space.size, format="csr"), space.pi), space)
 
 
 def test_verify_mixing_bounds_assembles_one_sparse_kernel(engine_models, monkeypatch):

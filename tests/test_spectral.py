@@ -1,14 +1,16 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import scangibbs as sg
-from scangibbs import chain, mixing, spectral
+from scangibbs import chain, cli, mixing, spectral
 from scangibbs.spectral import NonErgodicError
 
+import oracles
 from oracles import general_operator_norm, scan_kernels, stationary_projector
 
 
@@ -190,6 +192,11 @@ def test_verify_theorem1_matches_dense_oracle(engine_models, lazy):
                 model.label, key)
 
 
+def _ru_symmetric(model, space, lazy):
+    """S = D^{1/2} P D^{-1/2} of the sparse random-update kernel P."""
+    return spectral.symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
+
+
 @pytest.mark.parametrize("lazy", [True, False])
 def test_sparse_slem_matches_dense_both_solvers(engine_models, lazy):
     sizes = set()
@@ -197,8 +204,7 @@ def test_sparse_slem_matches_dense_both_solvers(engine_models, lazy):
         space = sg.enumerate_state_space(model)
         sizes.add(space.size)
         dense = sg.deviation_norm(sg.random_update_kernel(model, space, lazy=lazy), space)
-        sparse = spectral.sparse_deviation_norm(
-            chain.random_update_sparse(model, space, lazy=lazy), space)
+        sparse = spectral.sparse_deviation_norm(_ru_symmetric(model, space, lazy), space)
         assert sparse == pytest.approx(dense, rel=1e-12), model.label
     # both the dense solver and ARPACK were exercised
     assert min(sizes) <= spectral._DENSE_EIGEN_MAX < max(sizes)
@@ -218,7 +224,7 @@ def test_sparse_slem_rejects_non_reversible(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
     p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
     with pytest.raises(chain.NumericalError, match="detailed balance"):
-        spectral.sparse_deviation_norm(sp.csr_array(p_as.matrix), space)
+        spectral.symmetric_form(sp.csr_array(p_as.matrix), space.pi)
 
 
 def test_verify_theorem1_repeats_bit_for_bit():
@@ -257,7 +263,8 @@ def test_sparse_slem_sees_the_negative_end(size):
     space = chain.StateSpace(np.arange(size)[:, None], np.full(size, 1.0 / size), size)
     dense = sg.deviation_norm(chain.Kernel(matrix.toarray(), chain.UNIT_COMPOSITE, "P"), space)
     assert dense == pytest.approx(0.96)
-    assert spectral.sparse_deviation_norm(matrix, space) == pytest.approx(dense, rel=1e-12)
+    symmetric = spectral.symmetric_form(matrix, space.pi)
+    assert spectral.sparse_deviation_norm(symmetric, space) == pytest.approx(dense, rel=1e-12)
 
 
 def test_sparse_slem_converges_on_a_zero_cluster():
@@ -268,7 +275,56 @@ def test_sparse_slem_converges_on_a_zero_cluster():
     space = sg.enumerate_state_space(model)
     assert space.size > spectral._DENSE_EIGEN_MAX
     dense = sg.deviation_norm(sg.random_update_kernel(model, space, lazy=False), space)
-    sparse = spectral.sparse_deviation_norm(
-        chain.random_update_sparse(model, space, lazy=False), space)
+    sparse = spectral.sparse_deviation_norm(_ru_symmetric(model, space, lazy=False), space)
     assert sparse == pytest.approx(dense, rel=1e-12)
     assert sg.verify_theorem1(model, lazy=False)["holds"]
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_symmetric_form_is_the_sparse_reference_bit_for_bit(
+        engine_models, exact_small_models, lazy):
+    for model in (*engine_models, *exact_small_models):
+        space = sg.enumerate_state_space(model)
+        p = chain.random_update_sparse(model, space, lazy)
+        s = spectral.symmetric_form(p, space.pi)
+        expected = oracles.symmetric_form(p, space.pi)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(s, field), getattr(expected, field)), (
+                model.label, field)
+
+
+def test_symmetric_form_rejects_an_entry_without_transpose():
+    matrix = sp.csr_array(np.array([[0.5, 0.5], [0.0, 1.0]]))
+    with pytest.raises(chain.NumericalError, match="transpose"):
+        spectral.symmetric_form(matrix, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_zero_pi_is_non_ergodic_before_any_division(lazy):
+    # pi of (x1, x2) = (0, 1) is exp(-800) / Z, which underflows to 0
+    model = sg.build_rbm(np.zeros((1, 1)), [400.0], [-400.0])
+    assert not sg.enumerate_state_space(model).pi.all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for verify in (sg.verify_theorem1, sg.verify_mixing_bounds):
+            with pytest.raises(NonErgodicError):
+                verify(model, lazy=lazy)
+
+
+def test_each_verifier_forms_one_symmetric_form(asymmetric_rbm, monkeypatch, tmp_path):
+    calls = []
+    symmetric_form = spectral.symmetric_form
+
+    def counting(*args):
+        calls.append(args)
+        return symmetric_form(*args)
+
+    monkeypatch.setattr(spectral, "symmetric_form", counting)
+    monkeypatch.setattr(mixing, "symmetric_form", counting)
+    sg.verify_theorem1(asymmetric_rbm)
+    assert len(calls) == 1
+    sg.verify_mixing_bounds(asymmetric_rbm)
+    assert len(calls) == 2
+    argv = ["spectral", "--model", "hardcore_knn", "--n", "2", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 3
