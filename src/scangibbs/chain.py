@@ -107,11 +107,14 @@ class Kernel:
 
 
 def _check_stochastic(low: float, sums: np.ndarray) -> None:
-    """Raise if the least entry is below -_NEGATIVE_TOL or a row sum is off 1."""
-    if low < -_NEGATIVE_TOL:
+    """Raise if the least entry is below -_NEGATIVE_TOL or a row sum is off 1.
+
+    Each comparison is written so that a NaN fails it.
+    """
+    if not low >= -_NEGATIVE_TOL:
         raise NumericalError(f"kernel entry {low} below the negative tolerance")
     drift = float(np.max(np.abs(sums - 1.0)))
-    if drift > _ROW_SUM_TOL:
+    if not drift <= _ROW_SUM_TOL:
         raise NumericalError(f"row sums deviate from 1 by {drift}")
 
 
@@ -174,7 +177,8 @@ def _single_site_probs(space: StateSpace, x: int):
 
     Returns (targets, probs), each of shape (N, S): column s holds the
     row index of the configuration with x set to s and its conditional
-    probability (0 when that configuration is off the support).
+    probability (0 when that configuration is off the support). A state
+    where pi underflows at every value of x raises NumericalError.
     """
     S = space.domain_size
     N = space.size
@@ -187,6 +191,11 @@ def _single_site_probs(space: StateSpace, x: int):
         targets[:, s] = pos
         weights[found, s] = space.pi[pos[found]]
     totals = weights.sum(axis=1)
+    if not totals.all():
+        raise NumericalError(
+            f"pi vanishes at every value of variable {x} at some state, "
+            "so its conditional law there is 0/0"
+        )
     probs = weights / totals[:, None]
     return targets, probs
 

@@ -217,38 +217,65 @@ def _scan_search(table, threshold, t_max) -> MixingReport:
     )
 
 
-def _clamp(matrix: np.ndarray) -> np.ndarray:
-    """Clamp the negatives of a fresh product to 0, in place."""
-    return np.maximum(matrix, 0.0, out=matrix)
+# A power of S is kept as a sparse matrix while at most this share of its
+# entries is stored, and as a dense array above it. On 2 cores (scipy
+# 1.17, OpenBLAS) a sparse multiply-add costs about 100 times a BLAS
+# one, so squaring a power of density d sparsely (d^2 N^3 multiply-adds)
+# beats syrk (N^3 / 2) below d = 0.07, and dense rows times the sparse
+# power beat dense rows times the dense one below d = 0.04; S^2 of the
+# 2048-state models is 3.3% dense, their S^4 27%.
+_SPARSE_DENSITY = 0.05
+# _symmetric_deviation reads and densifies this many rows at a time.
+_READOUT_ROWS = 128
 
 
-def _symmetric_square(square) -> np.ndarray:
-    """S^(2s) from the symmetric S^s, clamped and exactly symmetric.
+def _symmetric_square(square):
+    """S^(2s) from the symmetric S^s, exactly symmetric.
 
-    The sparse S is squared as a sparse product; a dense power as
-    square @ square.T, which numpy sends to BLAS syrk: half the flops
-    of a general product, and a symmetric result.
+    A sparse power is squared as a sparse product. Its rows are sorted,
+    so entry (x, y) and entry (y, x) add the same products in the same
+    order and the product is symmetric to the bit. The product stays
+    sparse, in canonical form (sorted indices), while it is at most
+    _SPARSE_DENSITY full, and is stored dense otherwise. A dense power
+    is squared as square @ square.T, which numpy sends to BLAS syrk:
+    half the flops of a general product, and a symmetric result. Every
+    power of the entrywise nonnegative S is nonnegative.
     """
-    if sp.issparse(square):
-        return _clamp((square @ square).toarray())
-    return _clamp(square @ square.T)
+    if not sp.issparse(square):
+        return square @ square.T
+    product = square @ square
+    n = product.shape[0]
+    if product.nnz > _SPARSE_DENSITY * n * n:
+        return product.toarray()
+    # The product is symmetric, so its transpose in CSR form, which the
+    # conversion writes with sorted indices, is the product itself.
+    return product.T.tocsr()
 
 
-def _symmetric_deviation(rows, starts, r, out=None) -> np.ndarray:
+def _symmetric_deviation(rows, starts, r) -> np.ndarray:
     """Twice the TV distance to pi of each start, read from rows of S^t.
 
-    rows[i] is row starts[i] of S^t = D^{1/2} P^t D^{-1/2} and r = sqrt(pi),
-    so P^t(x, y) = S^t(x, y) r_y / r_x and
+    rows[i] is row starts[i] of S^t = D^{1/2} P^t D^{-1/2}, dense or
+    sparse, and r = sqrt(pi), so P^t(x, y) = S^t(x, y) r_y / r_x and
 
         2 d_x(t) = (1 / r_x) sum_y r_y |S^t(x, y) - r_x r_y|.
 
-    out receives |rows - r_x r_y|; it must not be rows.
+    The rows are read _READOUT_ROWS at a time, a sparse block densified
+    on its own.
     """
-    scale = r[starts]
-    out = np.multiply.outer(scale, r, out=out)
-    np.subtract(rows, out, out=out)
-    np.abs(out, out=out)
-    return (out @ r) / scale
+    deviation = np.empty(len(starts))
+    buffer = np.empty((min(len(starts), _READOUT_ROWS), len(r)))
+    for lo in range(0, len(starts), _READOUT_ROWS):
+        # Slicing a sparse matrix copies it, so a single block is not sliced.
+        block = rows if len(starts) <= _READOUT_ROWS else rows[lo : lo + _READOUT_ROWS]
+        if sp.issparse(block):
+            block = block.toarray()
+        scale = r[starts[lo : lo + _READOUT_ROWS]]
+        out = np.multiply(scale[:, None], r, out=buffer[: len(scale)])
+        np.subtract(block, out, out=out)
+        np.abs(out, out=out)
+        deviation[lo : lo + len(scale)] = (out @ r) / scale
+    return deviation
 
 
 def active_start_mixing_time(
@@ -272,21 +299,22 @@ def active_start_mixing_time(
 
     The powers are those of S: S^(2s) = S^s (S^s)^T, so every full
     square is symmetric (_symmetric_square) and d_x(t) is read from row
-    x of S^t (_symmetric_deviation).
+    x of S^t (_symmetric_deviation). S is entrywise nonnegative, and a
+    negative stored entry raises NumericalError.
     """
     _check_search(threshold, t_max)
+    if not np.all(symmetric.data >= 0.0):
+        raise chain.NumericalError("symmetric form has a negative or NaN entry")
     pi = space.pi
     if 1.0 - float(pi.min()) <= threshold:
         return 0
     r = np.sqrt(pi)
     everyone = np.arange(space.size)
-    scratch = np.empty((space.size, space.size))
 
     def above(rows, starts):
-        deviation = _symmetric_deviation(rows, starts, r, scratch[: len(starts)])
-        return 0.5 * deviation > threshold
+        return 0.5 * _symmetric_deviation(rows, starts, r) > threshold
 
-    active = np.flatnonzero(above(symmetric.toarray(), everyone))
+    active = np.flatnonzero(above(symmetric, everyone))
     if not active.size:
         return 1
     # squares[k] = S^(2^k); active holds the starts above the threshold at s.
@@ -299,7 +327,7 @@ def active_start_mixing_time(
         # The sparse S is always squared whole.
         partial = active.size < space.size and s > 1
         if partial:
-            block = _clamp(square[active] @ square)
+            block = square[active] @ square
             still = above(block, active)
         else:
             block = _symmetric_square(square)
@@ -314,7 +342,7 @@ def active_start_mixing_time(
     # at s; lift t = s/2 while some start stays above at t + 2^k.
     rows, t = squares[-1][active], s // 2
     for k in range(len(squares) - 2, -1, -1):
-        lifted = _clamp(rows @ squares[k])
+        lifted = rows @ squares[k]
         still = above(lifted, active)
         if still.any():
             rows, active, t = lifted[still], active[still], t + 2 ** k

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -311,3 +312,25 @@ def test_sparse_kernel_gets_the_kernel_checks(rbm, monkeypatch, shift, moved, ma
             chain.random_update_sparse(model, space, lazy)
         with pytest.raises(chain.NumericalError, match=match):
             sg.verify_mixing_bounds(model, lazy=lazy)
+
+
+def test_underflowed_site_fails_both_kernel_builders():
+    # At (x1, x2) = (0, 1) both values of x1 have pi = exp(-1400) / Z and
+    # exp(-800) / Z, which underflow to 0: the conditional law is 0/0.
+    model = sg.build_rbm([[-100.0]], [700.0], [-700.0])
+    space = sg.enumerate_state_space(model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lazy in (True, False):
+            for build in (sg.random_update_kernel, chain.random_update_sparse):
+                with pytest.raises(chain.NumericalError, match="pi vanishes"):
+                    build(model, space, lazy)
+
+
+@pytest.mark.parametrize("low, sums", [
+    (np.nan, np.ones(2)),
+    (0.0, np.array([1.0, np.nan])),
+])
+def test_stochastic_check_rejects_nan(low, sums):
+    with pytest.raises(chain.NumericalError):
+        chain._check_stochastic(low, sums)

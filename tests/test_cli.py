@@ -5,6 +5,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,20 @@ def test_kernel_check_failure_is_numerical(tmp_path, monkeypatch, capsys):
     assert run_cli(argv) == cli.EXIT_NUMERICAL_ERROR
     assert "row sums deviate" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["spectral"], ["mixing"], ["verify", "--suite", "fill"]])
+def test_underflowed_conditional_is_numerical(tmp_path, capsys, command):
+    model_file = tmp_path / "rbm.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[-100.0]], "bias1": [700.0], "bias2": [-700.0]}))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*command, "--model-file", str(model_file), "--out", str(out)]) == (
+            cli.EXIT_NUMERICAL_ERROR)
+    assert "pi vanishes" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 def test_help_exits_zero(capsys):

@@ -229,16 +229,19 @@ def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
 def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkeypatch):
     space = sg.enumerate_state_space(asymmetric_rbm)
     p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
-    rows_formed = []
-    clamp = mixing._clamp
+    rows_read = []
+    symmetric_deviation = mixing._symmetric_deviation
 
-    def counting(matrix):
-        rows_formed.append(len(matrix))
-        return clamp(matrix)
+    def counting(rows, starts, r):
+        rows_read.append(rows.shape[0])
+        return symmetric_deviation(rows, starts, r)
 
-    monkeypatch.setattr(mixing, "_clamp", counting)
+    # Each row formed is read once, after the rows of S itself.
+    monkeypatch.setattr(mixing, "_symmetric_deviation", counting)
     s_ru = _ru_symmetric(asymmetric_rbm, space)
     assert mixing.active_start_mixing_time(s_ru, space) == 23
+    assert rows_read[0] == space.size
+    rows_formed = rows_read[1:]
 
     def above(t):
         return int(np.sum(_per_start_tv(p, space, t) > mixing.DEFAULT_THRESHOLD))
@@ -267,7 +270,21 @@ def test_active_start_squares_are_byte_symmetric(engine_models, monkeypatch, laz
         mixing.active_start_mixing_time(_ru_symmetric(model, space, lazy), space, threshold=0.01)
     assert len(squares) > 2 * len(engine_models)
     for square in squares:
+        _assert_byte_symmetric(square)
+
+
+def _assert_byte_symmetric(square):
+    """A dense square equals its transpose to the bit; a sparse one is in
+    canonical form and its transpose has the same indices and data bytes."""
+    if not sp.issparse(square):
         assert square.tobytes() == np.ascontiguousarray(square.T).tobytes()
+        return
+    assert square.has_canonical_format
+    transpose = square.T.tocsr()
+    transpose.sort_indices()
+    assert np.array_equal(square.indptr, transpose.indptr)
+    assert np.array_equal(square.indices, transpose.indices)
+    assert square.data.tobytes() == transpose.data.tobytes()
 
 
 @pytest.mark.parametrize("lazy", [True, False])
@@ -309,6 +326,40 @@ def test_active_start_search_truncation(k22):
             mixing.active_start_mixing_time(s_ru, space, threshold, t_max)
         with pytest.raises(MixingError):
             exact_mixing_time(p, space, threshold, t_max)
+
+
+def test_active_start_search_squares_sparsely_while_sparse(monkeypatch):
+    # 2048 states, as in the benchmark's exact_large: S has at most 12
+    # entries a row, S^2 is 3.3% full and S^4 27%.
+    model = sg.random_bipartite_model(5, 6, 30, -1.0, 1.0, 1)
+    space = sg.enumerate_state_space(model, cap=4096)
+    s_ru = _ru_symmetric(model, space)
+    calls = []
+    symmetric_square = mixing._symmetric_square
+
+    def recording(square):
+        calls.append((sp.issparse(square), symmetric_square(square)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mixing, "_symmetric_square", recording)
+    assert mixing.active_start_mixing_time(s_ru, space) == 86
+    # S^2 stays sparse, S^4 is a sparse product stored dense, and
+    # S^8 .. S^64 are the 4 syrk squares (syrk from a dense S^2 would make 5).
+    assert [given for given, _ in calls] == [True, True, False, False, False, False]
+    assert [sp.issparse(square) for _, square in calls] == [True] + [False] * 5
+    limit = mixing._SPARSE_DENSITY * space.size ** 2
+    assert calls[0][1].nnz <= limit < np.count_nonzero(calls[1][1])
+    for _, square in calls:
+        _assert_byte_symmetric(square)
+    # Closed at S^4 and S^8: the bisection lifts sparse rows of S^2 by S,
+    # and dense rows of S^4 by the sparse S^2 and S.
+    for threshold, expected in ((0.99, 3), (0.97, 5)):
+        assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected
+    for bad in (-1e-300, math.nan):
+        broken = s_ru.copy()
+        broken.data[0] = bad
+        with pytest.raises(chain.NumericalError):
+            mixing.active_start_mixing_time(broken, space)
 
 
 def test_active_start_search_rejects_non_ergodic():
