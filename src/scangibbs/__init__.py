@@ -18,7 +18,6 @@ from .chain import (
     adjoint,
     enumerate_state_space,
     ergodicity_check,
-    random_update_kernel,
     reversibilization,
 )
 from .spectral import (
@@ -30,7 +29,6 @@ from .spectral import (
 from .mixing import (
     MixingReport,
     exact_mixing_time,
-    verify_fill_inequality,
     verify_mixing_bounds,
 )
 from .lumped import (

@@ -1,6 +1,6 @@
-"""State-space enumeration, the random-update kernel and the joint table.
+"""State-space enumeration, the sparse random-update kernel and the joint table.
 
-Kernels are dense row-stochastic float64 matrices tagged with the time
+Dense kernels are row-stochastic float64 matrices tagged with the time
 unit one application of the matrix represents: a single variable update,
 a half scan of one partition, a full epoch, or a composite operator. The
 alternating scan is analysed on the joint table of the two partitions.
@@ -232,19 +232,6 @@ def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
     )
     matrix.sum_duplicates()
     return matrix
-
-
-def random_update_kernel(
-    model: BipartiteModel, space: StateSpace, lazy: bool = True
-) -> Kernel:
-    """Uniform-site Gibbs kernel; lazy form holds with probability 1/2."""
-    N = space.size
-    matrix = _site_sum(model, space).toarray() / model.n
-    label = "P_RU"
-    if lazy:
-        matrix = 0.5 * np.eye(N) + 0.5 * matrix
-        label = "P_RU_lazy"
-    return make_kernel(matrix, UNIT_VARIABLE, label)
 
 
 def random_update_sparse(

@@ -124,11 +124,13 @@ def _samplers(args):
 
 
 def _per_sampler(mdl, args, ru, scan):
-    """(sampler, unit, ru(space) or scan(joint table)) per selected sampler, RU first."""
+    """(sampler, unit, ru(S, space) or scan(joint table)) per selected sampler, RU first;
+    S is the symmetric form of the sparse random-update kernel."""
     space = chain.enumerate_state_space(mdl, cap=args.cap)
     samplers = _samplers(args)
     if "random_update" in samplers:
-        yield "random_update", chain.UNIT_VARIABLE, ru(space)
+        s_ru = spectral.symmetric_form(chain.random_update_sparse(mdl, space, args.lazy), space.pi)
+        yield "random_update", chain.UNIT_VARIABLE, ru(s_ru, space)
     if "alternating_scan" in samplers:
         yield "alternating_scan", chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))
 
@@ -137,10 +139,7 @@ def _spectral(args):
     mdl = _resolve_model(args)
     rows = []
     for sampler, unit, report in _per_sampler(
-        mdl, args,
-        lambda space: spectral.random_update_report(spectral.symmetric_form(
-            chain.random_update_sparse(mdl, space, args.lazy), space.pi), space),
-        spectral.scan_report,
+        mdl, args, spectral.random_update_report, spectral.scan_report
     ):
         for metric, value in (
             ("gap", report.gap),
@@ -157,10 +156,8 @@ def _mixing(args):
     summary, curve = [], []
     for sampler, unit, report in _per_sampler(
         mdl, args,
-        lambda space: mixing.exact_mixing_time(
-            chain.random_update_kernel(mdl, space, lazy=args.lazy), space,
-            threshold=args.threshold, t_max=args.t_max, method="doubling",
-        ),
+        lambda symmetric, space: mixing.random_update_mixing_time(
+            symmetric, space, args.threshold, args.t_max),
         lambda table: mixing.scan_mixing_time(table, args.threshold, args.t_max),
     ):
         value = report.mixing_time if report.mixing_time is not None else "truncated"
@@ -275,10 +272,7 @@ def _fill_rows(args):
         ("verify_fill", mdl.label, sampler, unit, "holds", res["holds"])
         for sampler, unit, res in _per_sampler(
             mdl, args,
-            lambda space: mixing.verify_fill_inequality(
-                chain.random_update_kernel(mdl, space, lazy=args.lazy), space
-            ),
-            mixing.scan_fill_inequality,
+            mixing.random_update_fill_inequality, mixing.scan_fill_inequality
         )
     ]
 

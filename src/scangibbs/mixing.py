@@ -21,7 +21,6 @@ from .model import BipartiteModel
 from .spectral import (
     NonErgodicError,
     check_scan_ergodic,
-    deviation_norm,
     random_update_report,
     scan_correlation,
     scan_report,
@@ -67,8 +66,9 @@ def _check_search(threshold: float, t_max: int) -> None:
         raise MixingError("t_max must be at least 1")
 
 
-def _renormalize(matrix: np.ndarray) -> np.ndarray:
-    """Clamp negatives and renormalize rows, in place on a fresh product."""
+def _renormalized_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with negatives clamped and rows renormalized, in place on the product."""
+    matrix = a @ b
     np.maximum(matrix, 0.0, out=matrix)
     matrix /= matrix.sum(axis=1)[:, None]
     return matrix
@@ -93,7 +93,12 @@ def exact_mixing_time(
     if method == "iterate":
         return _mixing_time_iterate(kernel, space, threshold, t_max)
     if method == "doubling":
-        return _mixing_time_doubling(kernel, space, threshold, t_max)
+        scratch = np.empty_like(kernel.matrix)
+        return _doubling_search(
+            kernel.matrix, lambda power: _worst_tv(power, space.pi, scratch),
+            {0: 1.0 - float(space.pi.min())}, threshold, t_max, kernel.unit,
+            _renormalized_product,
+        )
     raise MixingError(f"unknown method {method!r}")
 
 
@@ -109,25 +114,17 @@ def _mixing_time_iterate(kernel, space, threshold, t_max) -> MixingReport:
         curve.append((t, worst))
         if worst <= threshold:
             return MixingReport(t, threshold, tuple(curve), False, kernel.unit)
-        power = _renormalize(power @ kernel.matrix)
+        power = _renormalized_product(power, kernel.matrix)
     return MixingReport(None, threshold, tuple(curve), True, kernel.unit)
 
 
-def _mixing_time_doubling(kernel, space, threshold, t_max) -> MixingReport:
-    pi = space.pi
-    scratch = np.empty_like(kernel.matrix)
-    return _doubling_search(
-        kernel.matrix, lambda power: _worst_tv(power, pi, scratch),
-        {0: 1.0 - float(pi.min())}, threshold, t_max, kernel.unit,
-    )
-
-
-def _doubling_search(step, readout, curve, threshold, t_max, unit) -> MixingReport:
+def _doubling_search(step, readout, curve, threshold, t_max, unit, product) -> MixingReport:
     """Least t whose worst-start TV is at most the threshold.
 
     curve holds the TV at t = 0..t0, all above the threshold except
     perhaps the last; beyond t0 the TV at t is readout(step^(t - t0)).
-    Squared powers of step bracket the answer, then bisection finds it.
+    Squared powers of step bracket the answer, then bisection finds it;
+    product(a, b) forms each power, a square as product(a, a).
     """
     t0 = max(curve)
 
@@ -147,7 +144,7 @@ def _doubling_search(step, readout, curve, threshold, t_max, unit) -> MixingRepo
     while curve[t0 + s] > threshold:
         if t0 + s >= t_max:
             return report(None, True)
-        squares.append(_renormalize(squares[-1] @ squares[-1]))
+        squares.append(product(squares[-1], squares[-1]))
         s *= 2
         curve[t0 + s] = readout(squares[-1])
     if s == 1:
@@ -159,7 +156,7 @@ def _doubling_search(step, readout, curve, threshold, t_max, unit) -> MixingRepo
         while steps:
             if steps & 1:
                 block = squares[k]
-                result = block if result is None else _renormalize(result @ block)
+                result = block if result is None else product(result, block)
             steps >>= 1
             k += 1
         return result
@@ -214,6 +211,7 @@ def _scan_search(table, threshold, t_max) -> MixingReport:
 
     return _doubling_search(
         table.cond2 @ a, readout, curve, threshold, t_max, chain.UNIT_EPOCH,
+        _renormalized_product,
     )
 
 
@@ -261,7 +259,7 @@ def _symmetric_deviation(rows, starts, r) -> np.ndarray:
         2 d_x(t) = (1 / r_x) sum_y r_y |S^t(x, y) - r_x r_y|.
 
     The rows are read _READOUT_ROWS at a time, a sparse block densified
-    on its own.
+    on its own, and einsum sums each row on its own, as a gemv does not.
     """
     deviation = np.empty(len(starts))
     buffer = np.empty((min(len(starts), _READOUT_ROWS), len(r)))
@@ -274,8 +272,31 @@ def _symmetric_deviation(rows, starts, r) -> np.ndarray:
         out = np.multiply(scale[:, None], r, out=buffer[: len(scale)])
         np.subtract(block, out, out=out)
         np.abs(out, out=out)
-        deviation[lo : lo + len(scale)] = (out @ r) / scale
+        deviation[lo : lo + len(scale)] = np.einsum("ij,j->i", out, r) / scale
     return deviation
+
+
+def random_update_mixing_time(
+    symmetric: sp.csr_array,
+    space: StateSpace,
+    threshold: float = DEFAULT_THRESHOLD,
+    t_max: int = DEFAULT_T_MAX,
+) -> MixingReport:
+    """exact_mixing_time(method="doubling") of a sparse pi-reversible kernel, on
+    the powers of its symmetric form S, at the same t points. The TV at t is half
+    the largest _symmetric_deviation of S^t; squares come from _symmetric_square,
+    and no power is renormalized (README, "Random-update mixing").
+    """
+    _check_search(threshold, t_max)
+    everyone, r = np.arange(space.size), np.sqrt(space.pi)
+
+    def readout(power):
+        return 0.5 * float(np.max(_symmetric_deviation(power, everyone, r)))
+
+    return _doubling_search(
+        symmetric, readout, {0: 1.0 - float(space.pi.min())}, threshold, t_max,
+        chain.UNIT_VARIABLE, lambda a, b: _symmetric_square(a) if a is b else a @ b,
+    )
 
 
 def active_start_mixing_time(
@@ -421,25 +442,25 @@ def _fill_report(contraction, weight, tvs) -> dict:
     return {"holds": holds, "worst_margin_by_t": results, "contraction": contraction}
 
 
-def verify_fill_inequality(kernel: Kernel, space: StateSpace) -> dict:
-    """Check TV(P^t(s,.), pi)^2 <= (1 - gap(R(P)))^t / pi(s) at t = 1, 2, 4, ..., 32."""
-    if not is_ergodic(kernel):
-        raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
-    rev = chain.reversibilization(kernel, space)
-    contraction = deviation_norm(rev, space)  # equals 1 - gap(R(P))
-    pi = space.pi
+def random_update_fill_inequality(symmetric: sp.csr_array, space: StateSpace) -> dict:
+    """Check TV(P^t(x, .), pi)^2 <= (1 - gap(R(P)))^t / pi(x) at t = 1, 2, 4, ..., 32
+    for a sparse pi-reversible P, on its symmetric form S: R(P) = P P* = P^2, so
+    1 - gap(R(P)) = SLEM^2, and start x's TV is read from row x of S^t.
+    """
+    contraction = random_update_report(symmetric, space).second_largest_modulus ** 2
+    everyone, r = np.arange(space.size), np.sqrt(space.pi)
 
     def tvs():
-        power = kernel.matrix  # P^t, squared to P^(2t)
+        power = symmetric
         while True:
-            yield 0.5 * _abs_deviation(power, pi)
-            power = _renormalize(power @ power)
+            yield 0.5 * _symmetric_deviation(power, everyone, r)
+            power = _symmetric_square(power)
 
-    return _fill_report(contraction, pi, tvs())
+    return _fill_report(contraction, space.pi, tvs())
 
 
 def scan_fill_inequality(table: chain.JointTable) -> dict:
-    """verify_fill_inequality of the alternating scan, on the joint table.
+    """random_update_fill_inequality for the alternating scan, on the joint table.
 
     The contraction 1 - gap(R(P_AS)) is rho^2, and the start x = (x1, x2)
     has TV(P_AS^t(x, .), pi) = TV((A L^(t-1))[x2], p1) (scan_mixing_time),
@@ -454,7 +475,7 @@ def scan_fill_inequality(table: chain.JointTable) -> dict:
         rows, power = a, table.cond2 @ a
         while True:
             yield 0.5 * _abs_deviation(rows, p1)[cols]
-            rows = _renormalize(rows @ power)
-            power = _renormalize(power @ power)
+            rows = _renormalized_product(rows, power)
+            power = _renormalized_product(power, power)
 
     return _fill_report(contraction, table.joint[table.joint > 0.0], tvs())

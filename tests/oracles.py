@@ -3,11 +3,12 @@
 The library runs the alternating scan on the joint table of the two
 partitions and the random-update spectrum on the sparse kernel. Its
 results are checked against these: the per-configuration Hamiltonian and
-conditionals, the dense single-site and scan kernels, the single-site
-kernels summed one after another, the lazy kernel and the symmetric
-form D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
-operator norm, the exact rational random-update kernel, the hardcore
-lumping maps and the TV distance of two distributions.
+conditionals, the dense single-site, random-update and scan kernels, the
+single-site kernels summed one after another, the lazy kernel and the
+symmetric form D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
+operator norm, the fill check on a dense kernel, the exact rational
+random-update kernel, the hardcore lumping maps and the TV distance of
+two distributions.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from scangibbs import chain
+from scangibbs import chain, mixing
 from scangibbs.chain import (
     UNIT_COMPOSITE,
     UNIT_EPOCH,
@@ -35,7 +36,13 @@ from scangibbs.model import (
     ModelError,
     validate_bipartite,
 )
-from scangibbs.spectral import _REVERSIBILITY_TOL, _SYMMETRY_TOL, NonErgodicError, _conjugate
+from scangibbs.spectral import (
+    _REVERSIBILITY_TOL,
+    _SYMMETRY_TOL,
+    NonErgodicError,
+    _conjugate,
+    deviation_norm,
+)
 
 
 def model_from_edges(n1, n2, domain_size, edges, unaries, **kwargs) -> BipartiteModel:
@@ -147,6 +154,22 @@ def sequential_site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_arra
     return acc
 
 
+def random_update_kernel(
+    model: BipartiteModel, space: StateSpace, lazy: bool = True
+) -> Kernel:
+    """Dense uniform-site Gibbs kernel; the lazy form holds with probability 1/2.
+
+    Built from sequential_site_sum, so it shares no code with
+    chain._site_sum, which it equals bit for bit.
+    """
+    matrix = sequential_site_sum(model, space).toarray() / model.n
+    label = "P_RU"
+    if lazy:
+        matrix = 0.5 * np.eye(space.size) + 0.5 * matrix
+        label = "P_RU_lazy"
+    return make_kernel(matrix, UNIT_VARIABLE, label)
+
+
 def _right_multiply(dense: np.ndarray, sparse_t: sp.csr_array) -> np.ndarray:
     # dense @ sparse via the transposed product to stay on the fast CSR path
     return (sparse_t.T @ dense.T).T
@@ -220,6 +243,27 @@ def random_update_sparse_sum(model: BipartiteModel, space: StateSpace, lazy: boo
     if lazy:
         matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
     return sp.csr_array(matrix)
+
+
+def verify_fill_inequality(kernel: Kernel, space: StateSpace) -> dict:
+    """The fill check on a dense kernel, from R(P) = P P* and dense powers of P.
+
+    Checks TV(P^t(s,.), pi)^2 <= (1 - gap(R(P)))^t / pi(s) at
+    t = 1, 2, 4, ..., 32 with the margins of mixing._fill_report.
+    """
+    if not chain.is_ergodic(kernel):
+        raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
+    rev = chain.reversibilization(kernel, space)
+    contraction = deviation_norm(rev, space)  # equals 1 - gap(R(P))
+    pi = space.pi
+
+    def tvs():
+        power = kernel.matrix  # P^t, squared to P^(2t)
+        while True:
+            yield 0.5 * mixing._abs_deviation(power, pi)
+            power = mixing._renormalized_product(power, power)
+
+    return mixing._fill_report(contraction, pi, tvs())
 
 
 def general_operator_norm(operator, space: StateSpace) -> float:

@@ -22,9 +22,11 @@ from oracles import (
     quotient_kernel,
     rational_mixing_time,
     rational_ru_kernel,
+    random_update_kernel,
     scan_kernels,
     single_site_kernel,
     stationary_projector,
+    verify_fill_inequality,
 )
 
 
@@ -72,7 +74,7 @@ def theorem_suite():
     start = time.monotonic()
     for mdl in _suite_models():
         space = sg.enumerate_state_space(mdl, cap=4096)
-        p_ru = sg.random_update_kernel(mdl, space, lazy=True)
+        p_ru = random_update_kernel(mdl, space, lazy=True)
         p_as = scan_kernels(mdl, space)["P_AS"]
         # Each dense value is computed once: relaxation_time already holds
         # ||P_RU - S_pi|| and, for a non-reversible P_AS, ||R(P_AS) - S_pi||.
@@ -147,7 +149,7 @@ def test_criterion_03_operator_identities(report):
         space = sg.enumerate_state_space(mdl, cap=256)
         ts = [single_site_kernel(mdl, space, x).matrix for x in range(mdl.n)]
         k = scan_kernels(mdl, space)
-        p_ru = sg.random_update_kernel(mdl, space, lazy=True)
+        p_ru = random_update_kernel(mdl, space, lazy=True)
         s = stationary_projector(space).matrix
         a1, a2, p_as = k["P_AS1"].matrix, k["P_AS2"].matrix, k["P_AS"].matrix
         g1, g2 = k["P_GS1"].matrix, k["P_GS2"].matrix
@@ -222,7 +224,7 @@ def test_criterion_05_mixing_bounds_and_rational_oracle(report):
     k22 = sg.build_hardcore_complete_bipartite(2)
     space = sg.enumerate_state_space(k22)
     float_mix = sg.exact_mixing_time(
-        sg.random_update_kernel(k22, space, lazy=True), space, method="iterate"
+        random_update_kernel(k22, space, lazy=True), space, method="iterate"
     ).mixing_time
     exact_kernel = rational_ru_kernel(k22, space, lazy=True)
     from fractions import Fraction
@@ -251,11 +253,11 @@ def test_criterion_06_tv_decay_inequality(report):
         )
         space = sg.enumerate_state_space(mdl)
         kernels = [
-            sg.random_update_kernel(mdl, space, lazy=True),
+            random_update_kernel(mdl, space, lazy=True),
             scan_kernels(mdl, space)["P_AS"],
         ]
         for kernel in kernels:
-            res = sg.verify_fill_inequality(kernel, space)
+            res = verify_fill_inequality(kernel, space)
             worst = min(
                 worst, min(res["worst_margin_by_t"].values())
             )
@@ -309,7 +311,7 @@ def test_criterion_07b_lumpability_exact(report):
         mdl = sg.build_hardcore_complete_bipartite(n)
         space = sg.enumerate_state_space(mdl)
         lm = hardcore_lump_map(space, n)
-        p_ru = sg.random_update_kernel(mdl, space, lazy=False)
+        p_ru = random_update_kernel(mdl, space, lazy=False)
         p_as = scan_kernels(mdl, space)["P_AS"]
         if not (lumpability_check(p_ru, lm) and lumpability_check(p_as, lm)):
             report("7b", False, f"lumpability fails at n={n}")
@@ -357,7 +359,7 @@ def test_criterion_08_zero_weight_closed_forms(report):
         n2 = n - n1
         mdl = sg.build_rbm(np.zeros((n1, n2)), np.zeros(n1), np.zeros(n2))
         space = sg.enumerate_state_space(mdl)
-        ru = sg.relaxation_time(sg.random_update_kernel(mdl, space, lazy=True), space)
+        ru = sg.relaxation_time(random_update_kernel(mdl, space, lazy=True), space)
         worst_gap = max(worst_gap, abs(ru.gap - 1.0 / (2.0 * n)))
         p_as = scan_kernels(mdl, space)["P_AS"]
         s = stationary_projector(space).matrix

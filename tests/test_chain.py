@@ -10,6 +10,7 @@ from scangibbs.chain import StateSpaceCapError
 
 from oracles import (
     model_from_edges,
+    random_update_kernel,
     random_update_sparse_sum,
     scan_kernels,
     sequential_site_sum,
@@ -118,7 +119,7 @@ def test_single_site_idempotent_self_adjoint_commuting(rbm):
 
 def test_random_update_lazy_diagonal(rbm):
     model, space = rbm
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     assert np.all(np.diag(p.matrix) >= 0.5)
     assert p.unit == chain.UNIT_VARIABLE
 
@@ -126,14 +127,14 @@ def test_random_update_lazy_diagonal(rbm):
 def test_random_update_detailed_balance(rbm):
     model, space = rbm
     for lazy in (True, False):
-        p = sg.random_update_kernel(model, space, lazy=lazy)
+        p = random_update_kernel(model, space, lazy=lazy)
         assert db_violation(p, space) <= 1e-12
 
 
 def test_non_lazy_is_affine_in_lazy(rbm):
     model, space = rbm
-    lazy = sg.random_update_kernel(model, space, lazy=True).matrix
-    nonlazy = sg.random_update_kernel(model, space, lazy=False).matrix
+    lazy = random_update_kernel(model, space, lazy=True).matrix
+    nonlazy = random_update_kernel(model, space, lazy=False).matrix
     assert np.max(np.abs(nonlazy - (2 * lazy - np.eye(space.size)))) <= 1e-12
 
 
@@ -147,7 +148,7 @@ def test_scan_zero_weight_is_projector(zero_rbm_22):
 def test_scan_gibbs_mixture_identity(rbm):
     model, space = rbm
     kernels = scan_kernels(model, space)
-    p_ru = sg.random_update_kernel(model, space, lazy=True)
+    p_ru = random_update_kernel(model, space, lazy=True)
     mix = (
         model.n1 * kernels["P_GS1"].matrix + model.n2 * kernels["P_GS2"].matrix
     ) / model.n
@@ -173,7 +174,7 @@ def test_scan_order_within_partition_irrelevant(rbm):
 
 def test_adjoint_of_reversible_is_identity_map(rbm):
     model, space = rbm
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     assert np.max(np.abs(sg.adjoint(p, space).matrix - p.matrix)) <= 1e-12
 
 
@@ -210,7 +211,7 @@ def test_reversibilization_fixes_projector(zero_rbm_22):
 
 def test_reversibilization_of_reversible_is_square(rbm):
     model, space = rbm
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     r = sg.reversibilization(p, space)
     assert np.max(np.abs(r.matrix - p.matrix @ p.matrix)) <= 1e-12
 
@@ -224,7 +225,7 @@ def test_reversibilization_is_reversible(k22):
 
 def test_ergodicity_hardcore(hardcore_k33):
     space = sg.enumerate_state_space(hardcore_k33)
-    p_ru = sg.random_update_kernel(hardcore_k33, space)
+    p_ru = random_update_kernel(hardcore_k33, space)
     assert sg.ergodicity_check(p_ru) == {"irreducible": True, "aperiodic": True}
     p_as = scan_kernels(hardcore_k33, space)["P_AS"]
     assert sg.ergodicity_check(p_as) == {"irreducible": True, "aperiodic": True}
@@ -239,7 +240,7 @@ def test_ergodicity_identity_kernel():
 
 def test_stationarity_of_all_kernels(rbm):
     model, space = rbm
-    kernels = [sg.random_update_kernel(model, space, lazy=lazy) for lazy in (True, False)]
+    kernels = [random_update_kernel(model, space, lazy=lazy) for lazy in (True, False)]
     kernels += list(scan_kernels(model, space).values())
     for kernel in kernels:
         assert chain.stationarity_defect(kernel, space) <= 1e-10
@@ -248,7 +249,7 @@ def test_stationarity_of_all_kernels(rbm):
 def test_scan_deviation_decompositions(rbm):
     model, space = rbm
     k = scan_kernels(model, space)
-    p_ru = sg.random_update_kernel(model, space, lazy=True)
+    p_ru = random_update_kernel(model, space, lazy=True)
     s = stationary_projector(space).matrix
     a1, a2, p_as = k["P_AS1"].matrix, k["P_AS2"].matrix, k["P_AS"].matrix
     p_as_star = sg.adjoint(k["P_AS"], space).matrix
@@ -322,7 +323,7 @@ def test_underflowed_site_fails_both_kernel_builders():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lazy in (True, False):
-            for build in (sg.random_update_kernel, chain.random_update_sparse):
+            for build in (random_update_kernel, chain.random_update_sparse):
                 with pytest.raises(chain.NumericalError, match="pi vanishes"):
                     build(model, space, lazy)
 

@@ -6,15 +6,16 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scangibbs as sg
-from scangibbs import cli, mixing
+from scangibbs import chain, cli, mixing, spectral
 
-from oracles import scan_kernels
+from oracles import rational_ru_kernel, random_update_kernel, scan_kernels, verify_fill_inequality
 
 
 def run_cli(argv):
@@ -251,7 +252,7 @@ def _fail_mixing_stage(monkeypatch, tmp_path, exc):
         assert (tmp_path / "spectral.csv").exists()
         raise exc
 
-    monkeypatch.setattr(cli.mixing, "exact_mixing_time", boom)
+    monkeypatch.setattr(cli.mixing, "random_update_mixing_time", boom)
     return ["run", "--analyses", "spectral,mixing", "--model", "hardcore_knn",
             "--n", "2", "--out", str(tmp_path)]
 
@@ -497,7 +498,7 @@ def test_cli_matches_dense_oracle(engine_models, tmp_path, lazy):
         assert run_cli(["run", "--analyses", "spectral,mixing", *argv]) == cli.EXIT_OK
         assert run_cli(["verify", "--suite", "fill", *argv]) == cli.EXIT_OK
         space = sg.enumerate_state_space(model)
-        kernels = {"random_update": sg.random_update_kernel(model, space, lazy=lazy),
+        kernels = {"random_update": random_update_kernel(model, space, lazy=lazy),
                    "alternating_scan": scan_kernels(model, space)["P_AS"]}
         spectral_rows = _rows_by(out / "spectral.csv")
         mixing_rows = _rows_by(out / "mixing.csv")
@@ -517,8 +518,83 @@ def test_cli_matches_dense_oracle(engine_models, tmp_path, lazy):
                 t = int(row["t"])
                 dense = mixing._worst_tv(np.linalg.matrix_power(kernel.matrix, t), space.pi)
                 assert float(row["worst_tv"]) == pytest.approx(dense, abs=1e-12), (where, t)
-            fill = sg.verify_fill_inequality(kernel, space)
+            fill = verify_fill_inequality(kernel, space)
             assert fill_rows[sampler, "holds"] == cli._format_cell(fill["holds"]), where
+
+
+def test_cli_random_update_curve_matches_the_rational_oracle(tmp_path):
+    """Each random-update point of mixing_curve.csv on lazy hardcore K_{2,2}
+    is the exact TV of P^t, from rational arithmetic, to rounding.
+
+    The bound, to first order in eps: each stored entry of S is within
+    8 eps (relative) of the exact D^{1/2} P D^{-1/2}, from the roundings
+    of the conditional laws, sqrt(pi), the conjugation and the average.
+    S is nonnegative, so a product of t such factors is within 8 t eps
+    entrywise of the exact S^t. The search forms S^t with
+    k = (bit length of t - 1) squares and (popcount of t - 1) further
+    products, each entry a sum of N = 7 nonnegative terms that adds at
+    most N eps. The readout (1 / 2 r_x) sum_y r_y |S^t(x, y) - r_x r_y|
+    weighs the entries' relative errors with total weight
+    (1 / r_x) sum_y r_y S^t(x, y) = 1, and rounds its own sum of N terms
+    to (N + 3) eps of a total of at most 2. So the TV is within
+    (8 t + k N + 2 (N + 3)) eps / 2 of the exact one.
+    """
+    argv = ["mixing", "--model", "hardcore_knn", "--n", "2", "--samplers", "random_update"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert _rows_by(tmp_path / "mixing.csv")["random_update", "mixing_time"] == "32"
+    model = sg.build_hardcore_complete_bipartite(2)
+    space = sg.enumerate_state_space(model)
+    exact, n = rational_ru_kernel(model, space, lazy=True), space.size
+    pi = Fraction(1, n)
+    tv, power = {0: 1 - pi}, exact
+    for t in range(1, 33):
+        tv[t] = max(sum(abs(p - pi) for p in row) for row in power) / 2
+        power = [[sum(row[k] * exact[k][j] for k in range(n)) for j in range(n)]
+                 for row in power]
+    curve = [(int(row["t"]), float(row["worst_tv"]))
+             for row in read_csv(tmp_path / "mixing_curve.csv")]
+    assert [t for t, _ in curve] == [0, 1, 2, 4, 8, 16, 24, 28, 30, 31, 32]
+    eps = np.finfo(float).eps
+    for t, value in curve:
+        products = max(t.bit_length() - 1, 0) + max(bin(t).count("1") - 1, 0)
+        bound = (8 * t + products * n + 2 * (n + 3)) * eps / 2
+        assert abs(Fraction(value) - tv[t]) <= bound, t
+
+
+@pytest.mark.parametrize("argv", [["spectral"], ["mixing"], ["verify", "--suite", "fill"]])
+def test_cli_random_update_runs_on_the_symmetric_form(tmp_path, monkeypatch, argv):
+    formed = []
+    symmetric_form = spectral.symmetric_form
+
+    def counting(*args):
+        formed.append(args)
+        return symmetric_form(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense random-update path called")
+
+    monkeypatch.setattr(spectral, "symmetric_form", counting)
+    for module, name in ((chain, "make_kernel"), (chain, "reversibilization"),
+                         (spectral, "deviation_norm"), (spectral, "relaxation_time"),
+                         (mixing, "exact_mixing_time")):
+        monkeypatch.setattr(module, name, forbidden)
+    argv = [*argv, "--samplers", "random_update", "--model", "hardcore_knn", "--n", "2"]
+    assert run_cli([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    assert len(formed) == 1
+
+
+_RBM_1024 = ["--model", "random_rbm", "--n1", "5", "--n2", "5", "--m", "20",
+             "--weight-low", "-1", "--weight-high", "1", "--seed", "3"]
+
+
+def _traced_peak(argv):
+    """Peak traced bytes of one CLI run, which must exit 0."""
+    tracemalloc.start()
+    try:
+        assert run_cli(argv) == cli.EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("argv", [
@@ -527,14 +603,17 @@ def test_cli_matches_dense_oracle(engine_models, tmp_path, lazy):
     ["verify", "--suite", "fill", "--samplers", "alternating_scan"],
 ])
 def test_cli_scan_allocates_no_dense_kernel(tmp_path, argv):
-    model = ["--model", "random_rbm", "--n1", "5", "--n2", "5", "--m", "20",
-             "--weight-low", "-1", "--weight-high", "1", "--seed", "3"]
     n_states = 2 ** 10
-    tracemalloc.start()
-    try:
-        assert run_cli([*argv, *model, "--out", str(tmp_path)]) == cli.EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
     # a single dense N x N float64 array would take 8 N^2 bytes
     assert peak < 8 * n_states ** 2 // 2
+
+
+def test_cli_random_update_fill_holds_two_powers(tmp_path):
+    n_states = 2 ** 10
+    argv = ["verify", "--suite", "fill", "--samplers", "random_update"]
+    peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
+    # the current power S^t and its square, 8 N^2 bytes each once dense,
+    # plus O(N) vectors and the readout's 128 x N buffer
+    assert peak < 3 * 8 * n_states ** 2
+    assert _rows_by(tmp_path / "verify_fill.csv")["random_update", "holds"] == "true"

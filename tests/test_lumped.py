@@ -14,7 +14,13 @@ from scangibbs.lumped import (
     lumped_state_space,
 )
 
-from oracles import hardcore_lump_map, lumpability_check, quotient_kernel, scan_kernels
+from oracles import (
+    hardcore_lump_map,
+    lumpability_check,
+    quotient_kernel,
+    random_update_kernel,
+    scan_kernels,
+)
 
 
 def test_lumped_index_layout():
@@ -77,12 +83,12 @@ def test_quotients_match_closed_forms(n):
     space = sg.enumerate_state_space(model)
     lm = hardcore_lump_map(space, n)
 
-    p_ru = sg.random_update_kernel(model, space, lazy=True)
+    p_ru = random_update_kernel(model, space, lazy=True)
     assert lumpability_check(p_ru, lm)
     q_ru = quotient_kernel(p_ru, lm, chain.UNIT_VARIABLE, "q_ru")
     assert np.max(np.abs(q_ru.matrix - lumped_ru_kernel(n, lazy=True).matrix)) <= 1e-12
 
-    p_ru_nl = sg.random_update_kernel(model, space, lazy=False)
+    p_ru_nl = random_update_kernel(model, space, lazy=False)
     q_nl = quotient_kernel(p_ru_nl, lm, chain.UNIT_VARIABLE, "q_nl")
     assert np.max(np.abs(q_nl.matrix - lumped_ru_kernel(n, lazy=False).matrix)) <= 1e-12
 
@@ -94,7 +100,7 @@ def test_quotients_match_closed_forms(n):
 
 def test_lumpability_check_rejects_bad_map(hardcore_k22):
     space = sg.enumerate_state_space(hardcore_k22)
-    p_ru = sg.random_update_kernel(hardcore_k22, space)
+    p_ru = random_update_kernel(hardcore_k22, space)
     bad_map = np.zeros(space.size, dtype=np.int64)
     bad_map[0] = 1  # splits the empty set away from one occupied state
     bad_map[1] = 1
@@ -122,7 +128,7 @@ def test_lumped_matches_full_chain(n):
     model = sg.build_hardcore_complete_bipartite(n)
     space = sg.enumerate_state_space(model)
     lspace = lumped_state_space(n)
-    p_ru = sg.random_update_kernel(model, space, lazy=True)
+    p_ru = random_update_kernel(model, space, lazy=True)
     full = mixing.exact_mixing_time(p_ru, space, method="doubling").mixing_time
     small = mixing.exact_mixing_time(
         lumped_ru_kernel(n, lazy=True), lspace, method="doubling"

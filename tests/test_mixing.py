@@ -11,7 +11,14 @@ import scangibbs as sg
 from scangibbs import chain, mixing, spectral
 from scangibbs.mixing import MixingError, exact_mixing_time
 
-from oracles import rational_mixing_time, rational_ru_kernel, scan_kernels, tv_distance
+from oracles import (
+    random_update_kernel,
+    rational_mixing_time,
+    rational_ru_kernel,
+    scan_kernels,
+    tv_distance,
+    verify_fill_inequality,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +55,7 @@ def test_tv_distance_symmetric_and_bounded(raw, data):
 
 def test_mixing_methods_agree_k22(k22):
     model, space = k22
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     it = exact_mixing_time(p, space, method="iterate")
     db = exact_mixing_time(p, space, method="doubling")
     assert it.mixing_time == db.mixing_time == 32
@@ -58,7 +65,7 @@ def test_mixing_methods_agree_k22(k22):
 
 def test_mixing_curve_monotone(k22):
     model, space = k22
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     curve = exact_mixing_time(p, space, method="iterate").tv_curve
     values = [tv for _, tv in curve]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
@@ -81,14 +88,14 @@ def test_mixing_zero_weight_scan(zero_rbm_22):
 
 def test_mixing_time_zero_when_pi_concentrated(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
-    p = sg.random_update_kernel(zero_rbm_22, space)
+    p = random_update_kernel(zero_rbm_22, space)
     report = exact_mixing_time(p, space, threshold=0.95)
     assert report.mixing_time == 0
 
 
 def test_mixing_truncation(k22):
     model, space = k22
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     for method in ("iterate", "doubling"):
         report = exact_mixing_time(p, space, t_max=3, method=method)
         assert report.truncated
@@ -97,7 +104,7 @@ def test_mixing_truncation(k22):
 
 def test_mixing_threshold_sensitivity(k22):
     model, space = k22
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     loose = exact_mixing_time(p, space, threshold=0.25, method="doubling")
     tight = exact_mixing_time(p, space, threshold=0.01, method="doubling")
     assert loose.mixing_time <= tight.mixing_time
@@ -108,7 +115,7 @@ def test_mixing_threshold_sensitivity(k22):
 def test_rational_oracle_matches_float_kernel(k22):
     model, space = k22
     exact = rational_ru_kernel(model, space, lazy=True)
-    approx = sg.random_update_kernel(model, space, lazy=True).matrix
+    approx = random_update_kernel(model, space, lazy=True).matrix
     for i in range(space.size):
         for j in range(space.size):
             assert float(exact[i][j]) == pytest.approx(approx[i, j], abs=1e-15)
@@ -142,11 +149,11 @@ def test_verify_mixing_bounds_soft(asymmetric_rbm):
 def test_fill_inequality_scan_and_ru(k22):
     model, space = k22
     kernels = [
-        sg.random_update_kernel(model, space, lazy=True),
+        random_update_kernel(model, space, lazy=True),
         scan_kernels(model, space)["P_AS"],
     ]
     for kernel in kernels:
-        result = sg.verify_fill_inequality(kernel, space)
+        result = verify_fill_inequality(kernel, space)
         assert result["holds"], result
         assert all(m >= 0.0 for m in result["worst_margin_by_t"].values())
         assert 0.0 < result["contraction"] < 1.0
@@ -182,7 +189,7 @@ def test_scan_mixing_time_truncation(hardcore_k22):
 def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        p_ru = sg.random_update_kernel(model, space, lazy=lazy)
+        p_ru = random_update_kernel(model, space, lazy=lazy)
         p_as = scan_kernels(model, space)["P_AS"]
         result = sg.verify_mixing_bounds(model, lazy=lazy)
         assert result["t_rel_ru"] == pytest.approx(
@@ -208,17 +215,58 @@ def _per_start_tv(kernel, space, t):
 def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        p_ru = sg.random_update_kernel(model, space, lazy=lazy)
+        p_ru = random_update_kernel(model, space, lazy=lazy)
         expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
         s_ru = _ru_symmetric(model, space, lazy)
         assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected, model.label
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_random_update_mixing_time_matches_dense_doubling(engine_models, lazy):
+    # the same search on S: the same mixing times, truncation and t points
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        p_ru = random_update_kernel(model, space, lazy=lazy)
+        s_ru = _ru_symmetric(model, space, lazy)
+        for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 10 ** 6), (0.01, 10 ** 6),
+                                 (mixing.DEFAULT_THRESHOLD, 3)):
+            dense = exact_mixing_time(p_ru, space, threshold, t_max, method="doubling")
+            report = mixing.random_update_mixing_time(s_ru, space, threshold, t_max)
+            where = (model.label, threshold, t_max)
+            assert report.mixing_time == dense.mixing_time, where
+            assert report.truncated == dense.truncated, where
+            assert report.unit == dense.unit == chain.UNIT_VARIABLE
+            assert [t for t, _ in report.tv_curve] == [t for t, _ in dense.tv_curve], where
+            for (t, tv), (_, expected) in zip(report.tv_curve, dense.tv_curve):
+                assert tv == pytest.approx(expected, abs=1e-12), (where, t)
+        with pytest.raises(MixingError):
+            mixing.random_update_mixing_time(s_ru, space, 1.0)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_random_update_fill_matches_dense_oracle(engine_models, lazy):
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        dense = verify_fill_inequality(random_update_kernel(model, space, lazy=lazy), space)
+        result = mixing.random_update_fill_inequality(_ru_symmetric(model, space, lazy), space)
+        assert result["holds"] == dense["holds"], model.label
+        assert result["contraction"] == pytest.approx(dense["contraction"], rel=1e-10, abs=1e-14)
+        for t, margin in dense["worst_margin_by_t"].items():
+            assert result["worst_margin_by_t"][t] == pytest.approx(
+                margin, rel=1e-10, abs=1e-11), (model.label, t)
+
+
+def test_dense_random_update_kernel_left_the_package():
+    for module, name in ((chain, "random_update_kernel"), (mixing, "verify_fill_inequality")):
+        assert not hasattr(module, name)
+        assert name not in sg.__all__
 
 
 def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
     # The bracket is (16, 32]: the worst start at t = 16 is not the one
     # still above the threshold at t = 22, so no single row can be tracked.
     space = sg.enumerate_state_space(asymmetric_rbm)
-    p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
+    p = random_update_kernel(asymmetric_rbm, space, lazy=True)
     t_mix = mixing.active_start_mixing_time(_ru_symmetric(asymmetric_rbm, space), space)
     assert t_mix == exact_mixing_time(p, space, method="doubling").mixing_time == 23
     last = _per_start_tv(p, space, t_mix - 1)
@@ -228,7 +276,7 @@ def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
 
 def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkeypatch):
     space = sg.enumerate_state_space(asymmetric_rbm)
-    p = sg.random_update_kernel(asymmetric_rbm, space, lazy=True)
+    p = random_update_kernel(asymmetric_rbm, space, lazy=True)
     rows_read = []
     symmetric_deviation = mixing._symmetric_deviation
 
@@ -292,7 +340,7 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
     # 2 d_x(t) read from S^t = D^{1/2} P^t D^{-1/2} against |P^t - pi| row sums
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        p = sg.random_update_kernel(model, space, lazy=lazy).matrix
+        p = random_update_kernel(model, space, lazy=lazy).matrix
         s = _ru_symmetric(model, space, lazy).toarray()
         starts, r = np.arange(space.size), np.sqrt(space.pi)
         for t in range(1, 9):
@@ -301,9 +349,31 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
             assert np.max(np.abs(got - expected)) <= 1e-13, (model.label, t)
 
 
+def test_symmetric_readout_does_not_depend_on_the_rows_read_with_it(monkeypatch):
+    # Each start's deviation is summed on its own: read from S^8 in blocks
+    # of 1, 7 or 128 rows, all at once, or among every third start only,
+    # it is the same to the bit. A BLAS gemv over each block gave 1661 of
+    # the 2048 rows a different last bit in blocks of 1 than in blocks of 128.
+    model = sg.random_bipartite_model(5, 6, 30, -1.0, 1.0, 1)
+    space = sg.enumerate_state_space(model, cap=4096)
+    power = _ru_symmetric(model, space)
+    for _ in range(3):
+        power = mixing._symmetric_square(power)
+    starts, r = np.arange(space.size), np.sqrt(space.pi)
+    every_third = starts[::3]
+    whole, subsets = [], []
+    for block_rows in (1, 7, 128, space.size):
+        monkeypatch.setattr(mixing, "_READOUT_ROWS", block_rows)
+        whole.append(mixing._symmetric_deviation(power, starts, r).tobytes())
+        subsets.append(mixing._symmetric_deviation(power[every_third], every_third, r))
+    assert len(set(whole)) == 1
+    expected = np.frombuffer(whole[0])[every_third].tobytes()
+    assert all(subset.tobytes() == expected for subset in subsets)
+
+
 def test_active_start_search_at_t0_and_t1(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
-    p = sg.random_update_kernel(zero_rbm_22, space, lazy=False)
+    p = random_update_kernel(zero_rbm_22, space, lazy=False)
     s_ru = _ru_symmetric(zero_rbm_22, space, lazy=False)
     # TV is 15/16 at t = 0; after one update P(x, .) meets pi = 1/16 only
     # on x and its 4 neighbours, so TV = 1 - 5/16
@@ -315,7 +385,7 @@ def test_active_start_search_at_t0_and_t1(zero_rbm_22):
 
 def test_active_start_search_truncation(k22):
     model, space = k22
-    p = sg.random_update_kernel(model, space, lazy=True)
+    p = random_update_kernel(model, space, lazy=True)
     s_ru = _ru_symmetric(model, space)
     for t_max in range(1, 40):
         report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
@@ -380,11 +450,9 @@ def test_verify_mixing_bounds_assembles_one_sparse_kernel(engine_models, monkeyp
         assembled.append(args)
         return random_update_sparse(*args, **kwargs)
 
-    def boom(*args, **kwargs):
-        raise AssertionError("dense random-update kernel built")
-
     monkeypatch.setattr(chain, "random_update_sparse", counting)
-    monkeypatch.setattr(chain, "random_update_kernel", boom)
+    # the dense random-update kernel is a test oracle, not part of the package
+    assert not hasattr(chain, "random_update_kernel")
     assert [sg.verify_mixing_bounds(model, lazy=lazy)
             for model in engine_models for lazy in (True, False)] == expected
     assert len(assembled) == len(expected)
@@ -423,9 +491,8 @@ def test_in_place_renormalize_and_readout_are_bit_identical():
         for kernel in (sg.lumped_ru_kernel(n, lazy=False), sg.lumped_as_kernel(n)):
             power = kernel.matrix
             for _ in range(12):
-                product = power @ power
-                expected = _renormalize_reference(product)
-                power = mixing._renormalize(product)
+                expected = _renormalize_reference(power @ power)
+                power = mixing._renormalized_product(power, power)
                 assert power.tobytes() == expected.tobytes(), n
                 tv = _worst_tv_reference(power, space.pi)
                 assert mixing._worst_tv(power, space.pi) == tv
