@@ -67,25 +67,15 @@ def monotonicity_precondition(model: BipartiteModel) -> None:
         raise MonotonicityError(f"negative-weight edges break monotonicity: {bad}")
 
 
-def _couplings_of(model: BipartiteModel):
-    """Bias vector, per-site (neighbor, weight) tuples, and the cross matrix
-    with its transpose, both in CSR form.
-
-    Neighbor tuples follow edge order, so a site's field sums its weights
-    in the same order on every call. Row v of the transpose lists its
-    entries by ascending first-partition index, so a second-partition
-    field sums in that order.
-    """
-    n, n1, n2 = model.n, model.n1, model.n2
-    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+def _neighbors(model: BipartiteModel) -> tuple:
+    """Per-site (neighbor, weight) tuples in edge order, so a site's field
+    sums its weights in the same order on every call."""
+    neighbors = [[] for _ in range(model.n)]
     u, v, w = model.edge_u, model.edge_v, model.tables[:, 1, 1]
-    neighbors = [[] for _ in range(n)]
     for a, b, weight in zip(u.tolist(), v.tolist(), w.tolist()):
         neighbors[a].append((b, weight))
         neighbors[b].append((a, weight))
-    nbrs = tuple(tuple(lst) for lst in neighbors)
-    cross = sp.csr_array((w, (u, v - n1)), shape=(n1, n2))
-    return bias, nbrs, cross, cross.T.tocsr()
+    return tuple(tuple(lst) for lst in neighbors)
 
 
 def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
@@ -111,10 +101,11 @@ def grand_coupling_time(
 ) -> CouplingReport:
     """Coalescence-time distribution over independent replicates.
 
-    Times are reported in variable updates; the alternating scan checks
-    coalescence only at epoch boundaries, so its times are multiples of
-    the variable count. Each replicate owns a counter-based stream keyed
-    by (seed, replicate).
+    Times are reported in variable updates and never exceed max_updates;
+    the alternating scan checks coalescence only at epoch boundaries, so
+    its times are multiples of the variable count, and it runs an epoch
+    only while the epoch's n updates fit under the cap. Each replicate
+    owns a counter-based stream keyed by (seed, replicate).
     """
     monotonicity_precondition(model)
     if sampler not in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
@@ -124,32 +115,32 @@ def grand_coupling_time(
     if max_updates < 0:
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     key = philox_key(seed)
-    n = model.n
-    bias, nbrs, cross, cross_t = _couplings_of(model)
+    n, n1 = model.n, model.n1
     top0 = _start_vector(start_top, 1, n, "start_top")
     bot0 = _start_vector(start_bottom, 0, n, "start_bottom")
     if np.any(top0 < bot0):
         raise ModelError("top start must dominate bottom start coordinatewise")
 
-    bias_list = bias.tolist()
-    samples = []
-    truncated = 0
-    for rep in range(replicates):
-        rng = np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)]))
-        if sampler == SAMPLER_RANDOM_UPDATE:
-            time = _run_random_update(
-                bias_list, nbrs, rng, max_updates, lazy, top0, bot0
-            )
-        else:
-            time = _run_alternating_scan(
-                model, bias, cross, cross_t, rng, max_updates, lazy, top0, bot0
-            )
-        if time is None:
-            truncated += 1
-        else:
-            samples.append(time)
-
-    samples.sort()
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+    if sampler == SAMPLER_RANDOM_UPDATE:
+        run, view = _run_random_update, (bias.tolist(), _neighbors(model))
+    else:
+        # Row v of the CSR transpose lists its entries by ascending
+        # first-partition index, so a second-partition field sums in that order.
+        cross = sp.csr_array(
+            (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),
+            shape=(n1, model.n2),
+        )
+        first, second = slice(0, n1), slice(n1, n)
+        halves = ((first, second, cross), (second, first, cross.T.tocsr()))
+        run, view = _run_alternating_scan, (bias, halves)
+    times = [
+        run(*view, np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
+            max_updates, lazy, top0, bot0)
+        for rep in range(replicates)
+    ]
+    samples = sorted(time for time in times if time is not None)
+    truncated = replicates - len(samples)
     arr = np.array(samples, dtype=float)
     if arr.size:
         mean = float(arr.mean())
@@ -226,59 +217,41 @@ def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
     return updates
 
 
-def _run_alternating_scan(model, bias, cross, cross_t, rng, max_updates, lazy, top0, bot0):
-    # Partition one updates are mutually independent given partition two
-    # (and vice versa), so each half scan vectorizes; the per-site shared
-    # uniforms are drawn in scan order.
-    n, n1 = model.n, model.n1
-    b1, b2 = bias[:n1], bias[n1:]
-    top1, top2 = top0[:n1].astype(float), top0[n1:].astype(float)
-    bot1, bot2 = bot0[:n1].astype(float), bot0[n1:].astype(float)
-
-    def coalesced():
-        return np.array_equal(top1, bot1) and np.array_equal(top2, bot2)
-
-    def half_scan(state_opposite_top, state_opposite_bot, bias_vec, mat):
-        u = rng.random(bias_vec.shape[0])
-        if lazy:
-            hold = rng.random(bias_vec.shape[0]) < 0.5
-        field_top = bias_vec + mat @ state_opposite_top
-        field_bot = bias_vec + mat @ state_opposite_bot
-        new_top = (u < expit(field_top)).astype(float)
-        # Equal fields give equal draws; the bottom chain needs its own
-        # conditional only where its field differs from the top chain's.
-        new_bot = new_top.copy()
-        differ = np.flatnonzero(field_top != field_bot)
-        new_bot[differ] = u[differ] < expit(field_bot[differ])
-        if np.any(new_bot > new_top):
-            raise CouplingInvariantError("sandwich violated during a scan")
-        return new_top, new_bot, (hold if lazy else None)
+def _run_alternating_scan(bias, halves, rng, max_updates, lazy, top0, bot0):
+    # A half's sites are mutually independent given the other half, so
+    # each half scan vectorizes; the per-site shared uniforms are drawn
+    # in scan order.
+    n = len(bias)
+    top, bottom = top0.astype(float), bot0.astype(float)
 
     def epoch():
-        nonlocal top1, top2, bot1, bot2
-        new_top1, new_bot1, hold1 = half_scan(top2, bot2, b1, cross)
-        if lazy:
-            new_top1 = np.where(hold1, top1, new_top1)
-            new_bot1 = np.where(hold1, bot1, new_bot1)
-        top1, bot1 = new_top1, new_bot1
-        new_top2, new_bot2, hold2 = half_scan(top1, bot1, b2, cross_t)
-        if lazy:
-            new_top2 = np.where(hold2, top2, new_top2)
-            new_bot2 = np.where(hold2, bot2, new_bot2)
-        top2, bot2 = new_top2, new_bot2
+        for own, other, weights in halves:
+            b = bias[own]
+            u = rng.random(b.shape[0])
+            if lazy:
+                hold = rng.random(b.shape[0]) < 0.5
+            field_top = b + weights @ top[other]
+            field_bot = b + weights @ bottom[other]
+            new_top = (u < expit(field_top)).astype(float)
+            # Equal fields give equal draws; the bottom chain needs its own
+            # conditional only where its field differs from the top chain's.
+            new_bot = new_top.copy()
+            differ = np.flatnonzero(field_top != field_bot)
+            new_bot[differ] = u[differ] < expit(field_bot[differ])
+            if np.any(new_bot > new_top):
+                raise CouplingInvariantError("sandwich violated during a scan")
+            if lazy:
+                new_top[hold], new_bot[hold] = top[own][hold], bottom[own][hold]
+            top[own], bottom[own] = new_top, new_bot
 
-    if coalesced():
-        epoch()
-        if not coalesced():
-            raise CouplingInvariantError("coalesced chains separated")
-        return 0
     updates = 0
-    while updates < max_updates:
+    while not np.array_equal(top, bottom):
+        if updates + n > max_updates:
+            return None
         epoch()
         updates += n
-        if coalesced():
-            epoch()
-            if not coalesced():
-                raise CouplingInvariantError("coalesced chains separated")
-            return updates
-    return None
+    # Coalesced chains must stay identical; check one more epoch.
+    epoch()
+    if not np.array_equal(top, bottom):
+        raise CouplingInvariantError("coalesced chains separated")
+    return updates

@@ -124,7 +124,8 @@ def _doubling_search(step, readout, curve, threshold, t_max, unit, product) -> M
     curve holds the TV at t = 0..t0, all above the threshold except
     perhaps the last; beyond t0 the TV at t is readout(step^(t - t0)).
     Squared powers of step bracket the answer, then bisection finds it;
-    product(a, b) forms each power, a square as product(a, a).
+    product(a, b) forms each power, a square as product(a, a); neither it
+    nor readout may write into its arguments, as step itself is squares[0].
     """
     t0 = max(curve)
 
@@ -138,7 +139,7 @@ def _doubling_search(step, readout, curve, threshold, t_max, unit, product) -> M
         return report(None, True)
 
     # Bracket with squared powers; squares[k] = step^(2^k).
-    squares = [step.copy()]
+    squares = [step]
     s = 1
     curve[t0 + 1] = readout(squares[0])
     while curve[t0 + s] > threshold:
@@ -149,6 +150,7 @@ def _doubling_search(step, readout, curve, threshold, t_max, unit, product) -> M
         curve[t0 + s] = readout(squares[-1])
     if s == 1:
         return report(t0 + 1, False)
+    squares.pop()  # every bisection point is below s, so step^s is not read
 
     def power_of(steps):
         result = None

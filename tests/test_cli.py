@@ -617,3 +617,20 @@ def test_cli_random_update_fill_holds_two_powers(tmp_path):
     # plus O(N) vectors and the readout's 128 x N buffer
     assert peak < 3 * 8 * n_states ** 2
     assert _rows_by(tmp_path / "verify_fill.csv")["random_update", "holds"] == "true"
+
+
+def test_cli_random_update_mixing_holds_the_squares_below_the_bracket(tmp_path):
+    """The doubling search brackets the mixing time 57 between S^32 and
+    S^64, then bisects with products of S, S^2, ..., S^32 only. S is
+    sparse, so at most the five squares S^2, ..., S^32 are dense N x N
+    arrays of 8 N^2 bytes; building a bisection power adds its partial
+    product and the product being formed, 7 x 8 N^2 in all. The rest,
+    O(N) vectors and the readout's 128 x N buffer, which is never held
+    beside both products, stays below half of 8 N^2. Holding S^64
+    through the bisection as well would need 8 x 8 N^2.
+    """
+    n_states = 2 ** 10
+    argv = ["mixing", "--samplers", "random_update"]
+    peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
+    assert peak < 7.5 * 8 * n_states ** 2
+    assert _rows_by(tmp_path / "mixing.csv")["random_update", "mixing_time"] == "57"

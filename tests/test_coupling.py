@@ -257,6 +257,16 @@ def test_zero_max_updates(six_vars):
 
 
 @pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_no_sample_exceeds_the_cap(six_vars, sampler):
+    for cap in range(13):
+        report = grand_coupling_time(six_vars, sampler, 1, 8, cap)
+        assert all(t <= cap for t in report.samples), cap
+    # The chains start apart at all 6 sites. A site update settles at most
+    # one of them and a scan epoch takes 6 updates, so 5 updates never do.
+    assert grand_coupling_time(six_vars, sampler, 1, 8, 5).truncated_count == 8
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
 def test_seed_must_fit_a_philox_key(six_vars, sampler):
     for seed in (-1, 2 ** 64):
         with pytest.raises(ModelError, match=r"seed must be in \[0, 2\^64\)"):
