@@ -2,8 +2,8 @@
 
 Dense kernels are row-stochastic float64 matrices tagged with the time
 unit one application of the matrix represents: a single variable update,
-a half scan of one partition, a full epoch, or a composite operator. The
-alternating scan is analysed on the joint table of the two partitions.
+a full epoch, or a composite operator. The alternating scan is analysed
+on the joint table of the two partitions.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .model import (
 )
 
 UNIT_VARIABLE = "variable_update"
-UNIT_HALF_EPOCH = "half_epoch"
 UNIT_EPOCH = "epoch"
 UNIT_COMPOSITE = "composite"
 
@@ -70,29 +69,16 @@ class StateSpace:
         return self.configs.shape[1]
 
     @cached_property
-    def radix(self) -> np.ndarray:
-        n = self.n_variables
-        S = self.domain_size
-        return np.array([S ** (n - 1 - j) for j in range(n)], dtype=np.int64)
+    def keys(self) -> np.ndarray:
+        """Grid positions in (S,) * n; ascending, as configs are lexicographic."""
+        return np.ravel_multi_index(self.configs.T, (self.domain_size,) * self.n_variables)
 
     @cached_property
-    def keys(self) -> np.ndarray:
-        """Encoded configurations; ascending because configs are lexicographic."""
-        return self.configs.astype(np.int64) @ self.radix
-
-    def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        """Map encoded configurations to row indices; second output flags hits."""
-        pos = np.searchsorted(self.keys, keys)
-        pos_clipped = np.minimum(pos, self.size - 1)
-        found = self.keys[pos_clipped] == keys
-        return pos_clipped, found
-
-    def index_of(self, config) -> int:
-        key = np.asarray(config, dtype=np.int64) @ self.radix
-        pos, found = self.lookup(np.array([key]))
-        if not found[0]:
-            raise ChainError("configuration not in the state space")
-        return int(pos[0])
+    def position(self) -> np.ndarray:
+        """Row of each grid cell, -1 off the support."""
+        position = np.full(self.domain_size ** self.n_variables, -1, dtype=np.int64)
+        position[self.keys] = np.arange(self.size)
+        return position
 
 
 @dataclass(frozen=True)
@@ -140,25 +126,27 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
             f"full configuration grid of size {total} is too large to sweep; "
             "use the lumped module for large symmetric instances"
         )
-    # int8 keeps the largest grids small; S > 128 needs a wider type, and
-    # since n >= 2 the grid limit keeps S within int16. The grid is built
-    # one mixed-radix digit column at a time, in itertools.product order.
-    dtype = np.int8 if S <= 128 else np.int16
-    index = np.arange(total)
-    configs = np.empty((total, n), dtype=dtype)
-    for j in range(n):
-        configs[:, j] = (index // S ** (n - 1 - j)) % S
+    # The support is marked on the grid (S,) * n; a state's key is its
+    # position there, so rows come in itertools.product order.
+    valid = np.ones((S,) * n, dtype=bool)
     ends = list(zip(model.edge_u.tolist(), model.edge_v.tolist()))
     if model.hard_constraint == "hardcore":
-        valid = np.ones(total, dtype=bool)
         for u, v in ends:
-            valid &= ~((configs[:, u] == 1) & (configs[:, v] == 1))
-        configs = configs[valid]
-    count = configs.shape[0]
+            cell = [slice(None)] * n
+            cell[u] = cell[v] = 1
+            valid[tuple(cell)] = False
+    keys = np.flatnonzero(valid)
+    count = keys.size
     if count > cap:
         raise StateSpaceCapError(f"state space exceeds cap: {count} > {cap}")
     if count == 0:
         raise ChainError("no configuration has positive weight")
+    # int8 keeps the largest spaces small; S > 128 needs a wider type, and
+    # since n >= 2 the grid limit keeps S within int16. Taking the digits
+    # one column at a time never holds n int64 columns at once.
+    configs = np.empty((count, n), dtype=np.int8 if S <= 128 else np.int16)
+    for j in range(n):
+        configs[:, j] = (keys // S ** (n - 1 - j)) % S
     # A fixed order, edges then sites, keeps pi reproducible to the bit.
     h = np.zeros(count)
     for k, (u, v) in enumerate(ends):
@@ -176,20 +164,15 @@ def _single_site_probs(space: StateSpace, x: int):
     """Row targets and probabilities of resampling variable x.
 
     Returns (targets, probs), each of shape (N, S): column s holds the
-    row index of the configuration with x set to s and its conditional
-    probability (0 when that configuration is off the support). A state
-    where pi underflows at every value of x raises NumericalError.
+    row of the configuration with x set to s and its conditional
+    probability, or -1 and 0 when that configuration is off the support.
+    A state where pi underflows at every value of x raises NumericalError.
     """
     S = space.domain_size
-    N = space.size
-    keys = space.keys
-    base = keys - space.configs[:, x].astype(np.int64) * space.radix[x]
-    targets = np.empty((N, S), dtype=np.int64)
-    weights = np.zeros((N, S))
-    for s in range(S):
-        pos, found = space.lookup(base + s * space.radix[x])
-        targets[:, s] = pos
-        weights[found, s] = space.pi[pos[found]]
+    stride = S ** (space.n_variables - 1 - x)
+    base = space.keys - space.configs[:, x].astype(np.int64) * stride
+    targets = space.position[base[:, None] + stride * np.arange(S)]
+    weights = np.where(targets >= 0, space.pi[targets], 0.0)
     totals = weights.sum(axis=1)
     if not totals.all():
         raise NumericalError(
@@ -257,9 +240,10 @@ def random_update_sparse(
 class JointTable:
     """pi as a table over the sub-configurations of the two partitions.
 
-    Rows are the partition-one sub-configurations x1 that occur on the
-    support and columns the partition-two ones x2, both in lexicographic
-    order. cond1[x2] is the law pi(. | x2) of x1 and cond2[x1] the law
+    Rows are all S^n1 partition-one sub-configurations x1 and columns
+    all S^n2 partition-two ones x2, both in lexicographic order. Each
+    occurs on the support: under hardcore, beside an empty other side.
+    cond1[x2] is the law pi(. | x2) of x1 and cond2[x1] the law
     pi(. | x1) of x2 (A and B in the README): the two half-scans of the
     alternating scan.
     """
@@ -272,17 +256,18 @@ class JointTable:
 
 
 def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
-    """Split every state into its (x1, x2) halves and tabulate pi.
+    """Tabulate pi over the (x1, x2) halves of the grid.
 
-    Given x2 the partition-one variables are independent, so one
-    partition's scan draws it exactly from its conditional law.
+    A state's grid position is x1 * S^n2 + x2, so the table is pi placed
+    on the grid and reshaped. Given x2 the partition-one variables are
+    independent, so one partition's scan draws it exactly from its
+    conditional law.
     """
     validate_bipartite(model)
-    block = space.domain_size ** model.n2
-    rows = np.unique(space.keys // block, return_inverse=True)[1]
-    cols = np.unique(space.keys % block, return_inverse=True)[1]
-    joint = np.zeros((rows.max() + 1, cols.max() + 1))
-    joint[rows, cols] = space.pi
+    S = space.domain_size
+    joint = np.zeros(S ** model.n)
+    joint[space.keys] = space.pi
+    joint = joint.reshape(S ** model.n1, S ** model.n2)
     p1 = joint.sum(axis=1)
     p2 = joint.sum(axis=0)
     return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])

@@ -222,12 +222,12 @@ def _coupling(args):
             summary.append(
                 ("coupling", mdl.label, sampler, "variable_update", metric, value)
             )
-        for rep, time in enumerate(report.samples):
-            wide.append((mdl.label, sampler, rep, time, False))
+        for rep, time in zip(report.streams, report.samples):
+            wide.append((mdl.label, sampler, rep, time))
     return {
         "coupling_summary.csv": (_SUMMARY, summary),
         "coupling.csv": (
-            ("model_id", "sampler", "replicate", "coalescence_updates", "truncated"),
+            ("model_id", "sampler", "replicate", "coalescence_updates"),
             wide,
         ),
     }

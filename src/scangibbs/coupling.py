@@ -36,7 +36,8 @@ class CouplingInvariantError(RuntimeError):
 @dataclass(frozen=True)
 class CouplingReport:
     sampler: str
-    samples: tuple
+    samples: tuple       # coalescence times, ascending; ties in stream order
+    streams: tuple       # the replicate stream of each sample
     replicates: int
     truncated_count: int
     mean: float
@@ -139,7 +140,8 @@ def grand_coupling_time(
             max_updates, lazy, top0, bot0)
         for rep in range(replicates)
     ]
-    samples = sorted(time for time in times if time is not None)
+    done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
+    samples = tuple(time for time, _ in done)
     truncated = replicates - len(samples)
     arr = np.array(samples, dtype=float)
     if arr.size:
@@ -150,7 +152,8 @@ def grand_coupling_time(
         mean = median = q90 = float("nan")
     return CouplingReport(
         sampler=sampler,
-        samples=tuple(samples),
+        samples=samples,
+        streams=tuple(rep for _, rep in done),
         replicates=replicates,
         truncated_count=truncated,
         mean=mean,

@@ -374,7 +374,7 @@ def active_start_mixing_time(
 
 def verify_mixing_bounds(
     model: BipartiteModel,
-    cap: int = 1024,
+    cap: int = chain.DEFAULT_CAP,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
     lazy: bool = True,

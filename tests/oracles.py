@@ -20,7 +20,6 @@ from scangibbs import chain, mixing
 from scangibbs.chain import (
     UNIT_COMPOSITE,
     UNIT_EPOCH,
-    UNIT_HALF_EPOCH,
     UNIT_VARIABLE,
     Kernel,
     NumericalError,
@@ -43,6 +42,8 @@ from scangibbs.spectral import (
     _conjugate,
     deviation_norm,
 )
+
+UNIT_HALF_EPOCH = "half_epoch"
 
 
 def model_from_edges(n1, n2, domain_size, edges, unaries, **kwargs) -> BipartiteModel:
@@ -129,10 +130,9 @@ def conditional_distribution(model: BipartiteModel, config, variable: int) -> np
 def single_site_sparse(space: StateSpace, x: int) -> sp.csr_array:
     """Sparse transition matrix of resampling the single variable x."""
     targets, probs = chain._single_site_probs(space, x)
-    N, S = probs.shape
-    rows = np.repeat(np.arange(N), S)
+    rows, s = np.nonzero(targets >= 0)
     mat = sp.csr_array(
-        (probs.ravel(), (rows, targets.ravel())), shape=(N, N)
+        (probs[rows, s], (rows, targets[rows, s])), shape=(space.size, space.size)
     )
     mat.sum_duplicates()
     return mat
@@ -290,18 +290,16 @@ def rational_ru_kernel(
         raise MixingError("rational kernel requires all-zero unary tables")
     N, n = space.size, space.n_variables
     S = space.domain_size
+    configs = space.configs.tolist()
+    row_of = {tuple(config): i for i, config in enumerate(configs)}
     matrix = [[Fraction(0) for _ in range(N)] for _ in range(N)]
-    for i in range(N):
-        config = space.configs[i].copy()
+    for i, config in enumerate(configs):
         for x in range(n):
             targets = []
             for s in range(S):
-                flipped = config.copy()
-                flipped[x] = s
-                try:
-                    targets.append(space.index_of(flipped))
-                except chain.ChainError:
-                    pass
+                flipped = (*config[:x], s, *config[x + 1:])
+                if flipped in row_of:
+                    targets.append(row_of[flipped])
             share = Fraction(1, n * len(targets))
             for j in targets:
                 matrix[i][j] += share

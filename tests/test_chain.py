@@ -9,6 +9,7 @@ from scangibbs import chain
 from scangibbs.chain import StateSpaceCapError
 
 from oracles import (
+    conditional_distribution,
     model_from_edges,
     random_update_kernel,
     random_update_sparse_sum,
@@ -64,9 +65,9 @@ def test_enumerate_wide_domain():
     assert space.size == S * S
     assert space.pi == pytest.approx(np.full(S * S, 1 / S ** 2))
     for config in ([0, 0], [199, 0], [128, 199], [57, 130], [199, 199]):
-        i = space.index_of(config)
-        assert i == config[0] * S + config[1]
+        i = config[0] * S + config[1]
         assert space.configs[i].tolist() == config
+        assert space.keys[i] == space.position[i] == i
 
 
 @pytest.mark.parametrize(
@@ -87,6 +88,30 @@ def test_enumerate_hardcore_rows_are_product_order(hardcore_k33):
         if not (any(c[:3]) and any(c[3:]))
     ]
     assert space.configs.tolist() == [list(c) for c in expected]
+
+
+def test_single_site_kernel_is_the_conditional_law(hardcore_k33):
+    # Rows are found through a dict of the configurations, not the grid
+    # index the kernel is built on, and the law comes from the factors.
+    rng = np.random.default_rng(17)
+    dbm = sg.build_dbm((2, 2, 2), [rng.uniform(-1, 1, (2, 2)) for _ in range(2)],
+                       [rng.uniform(-1, 1, 2) for _ in range(3)])
+    edges = tuple((i, 2 + j, rng.uniform(-1.0, 1.0, (3, 3)))
+                  for i in range(2) for j in range(2))
+    hardcore3 = model_from_edges(2, 2, 3, edges, rng.uniform(-1.0, 1.0, (4, 3)),
+                                 hard_constraint="hardcore")
+    for model in (hardcore_k33, dbm, hardcore3):
+        space = sg.enumerate_state_space(model)
+        configs = space.configs.tolist()
+        row_of = {tuple(c): i for i, c in enumerate(configs)}
+        for x in range(model.n):
+            kernel = single_site_kernel(model, space, x).matrix
+            for i, c in enumerate(configs):
+                law = conditional_distribution(model, c, x)
+                for s in range(model.domain_size):
+                    j = row_of.get((*c[:x], s, *c[x + 1:]))
+                    got = 0.0 if j is None else kernel[i, j]
+                    assert abs(got - law[s]) <= 1e-12, (model.label, c, x, s)
 
 
 def test_single_site_rows_sum_to_one(rbm):

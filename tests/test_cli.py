@@ -92,6 +92,22 @@ def test_coupling_subcommand(tmp_path):
     assert counts["truncated_count"] == "0"
 
 
+def test_coupling_rows_name_their_streams(tmp_path):
+    # Under a cap of 7 updates only stream 4 is truncated: its scan needs
+    # two epochs of 6 updates.
+    code = run_cli(
+        ["coupling", "--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
+         "--weight-low", "0", "--weight-high", "0.3", "--seed", "1",
+         "--samplers", "alternating_scan", "--replicates", "8", "--max-updates", "7",
+         "--no-lazy", "--out", str(tmp_path)]
+    )
+    assert code == cli.EXIT_OK
+    rows = read_csv(tmp_path / "coupling.csv")
+    assert list(rows[0]) == ["model_id", "sampler", "replicate", "coalescence_updates"]
+    assert [r["replicate"] for r in rows] == ["0", "1", "2", "3", "5", "6", "7"]
+    assert {r["coalescence_updates"] for r in rows} == {"6"}
+
+
 def test_negative_max_updates_is_user_error(tmp_path, capsys):
     code = run_cli(
         ["run", "--analyses", "spectral,coupling", "--model", "random_rbm",

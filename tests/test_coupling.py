@@ -266,6 +266,16 @@ def test_no_sample_exceeds_the_cap(six_vars, sampler):
     assert grand_coupling_time(six_vars, sampler, 1, 8, 5).truncated_count == 8
 
 
+def test_samples_carry_their_streams(six_vars):
+    # Stream 4 alone needs a second scan epoch; ties keep stream order.
+    capped = grand_coupling_time(six_vars, SAMPLER_ALTERNATING_SCAN, 1, 8, 7)
+    assert capped.streams == (0, 1, 2, 3, 5, 6, 7)
+    assert capped.samples == (6,) * 7
+    full = grand_coupling_time(six_vars, SAMPLER_ALTERNATING_SCAN, 1, 8, 1000)
+    assert full.streams == (0, 1, 2, 3, 5, 6, 7, 4)
+    assert full.samples == (6,) * 7 + (12,)
+
+
 @pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
 def test_seed_must_fit_a_philox_key(six_vars, sampler):
     for seed in (-1, 2 ** 64):

@@ -80,6 +80,15 @@ def test_mixing_scan_k22(k22):
     assert report.unit == chain.UNIT_EPOCH
 
 
+def test_hardcore_knn_scan_mixing_closed_form():
+    # README: after t >= 1 epochs the worst start is at TV rho^(2(t-1)) a/Z
+    # from pi, which first reaches 1/(2e) at t = 2^(n-1) + 1.
+    for n in range(1, 10):
+        model = sg.build_hardcore_complete_bipartite(n)
+        table = chain.joint_table(model, sg.enumerate_state_space(model))
+        assert mixing.scan_mixing_time(table).mixing_time == 2 ** (n - 1) + 1, n
+
+
 def test_mixing_zero_weight_scan(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
     p_as = scan_kernels(zero_rbm_22, space)["P_AS"]

@@ -133,6 +133,21 @@ def test_relaxation_hardcore_k22_scan(k22):
     assert report.relaxation_time == pytest.approx(4.0, abs=1e-9)
 
 
+def test_hardcore_knn_scan_closed_form():
+    # README, "How the analyses use the bipartite structure": J has cells
+    # 1 and a = 2^n - 1 on the empty rows and columns and 0 elsewhere, so
+    # rho = a / 2^n and t_rel(AS) = 2^n. rho is good to 2^n eps (the SVD
+    # bound) and 1 - rho = 2^-n, so t_rel is good to a relative 4^n eps.
+    for n in range(1, 12):
+        model = sg.build_hardcore_complete_bipartite(n)
+        table = chain.joint_table(model, sg.enumerate_state_space(model))
+        occupied = np.arange(2 ** n) > 0
+        assert table.joint.shape == (2 ** n, 2 ** n)
+        assert np.array_equal(table.joint == 0.0, np.outer(occupied, occupied)), n
+        t_rel = spectral.scan_report(table).relaxation_time
+        assert abs(t_rel - 2 ** n) <= 4 ** n * np.finfo(float).eps * 2 ** n, n
+
+
 def test_relaxation_time_consistency_formula(asymmetric_rbm):
     space = sg.enumerate_state_space(asymmetric_rbm)
     p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
