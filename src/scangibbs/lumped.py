@@ -13,7 +13,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import binom
 
 from .chain import (
     Kernel,
@@ -99,6 +98,9 @@ def lumped_as_kernel(n: int) -> Kernel:
     """
     if n < 1:
         raise LumpingError("n must be at least 1")
+    # Imported here so that every command but `lumped` starts without scipy.stats.
+    from scipy.stats import binom
+
     size = 2 * n + 1
     b = binom.pmf(np.arange(n + 1), n, 0.5)
     matrix = np.zeros((size, size))

@@ -262,6 +262,35 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "spectral.csv").exists()
 
 
+_SIX = ["--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
+        "--weight-low", "0", "--weight-high", "0.3", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,loads_stats",
+    [
+        (None, False),
+        (["coupling", *_SIX, "--samplers", "alternating_scan", "--replicates", "2",
+          "--no-lazy"], False),
+        (["spectral", "--model", "hardcore_knn", "--n", "2"], False),
+        (["lumped", "--n-min", "2", "--n-max", "3"], True),
+    ],
+    ids=["import", "coupling", "spectral", "lumped"],
+)
+def test_scipy_stats_is_loaded_only_by_lumped(tmp_path, argv, loads_stats):
+    # Importing scipy.stats more than doubles the start-up time, and only
+    # lumped_as_kernel reads it. This process may have loaded it already,
+    # so each case runs in a fresh interpreter.
+    script = "import sys\nimport scangibbs\n"
+    if argv is not None:
+        script += (f"from scangibbs import cli\n"
+                   f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n")
+    script += "print(any(m.split('.')[:2] == ['scipy', 'stats'] for m in sys.modules))\n"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == str(loads_stats)
+
+
 def _fail_mixing_stage(monkeypatch, tmp_path, exc):
     # raise only after the spectral stage has written its CSV
     def boom(*args, **kwargs):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 import scangibbs as sg
 from scangibbs import chain, lumped, mixing, spectral
@@ -56,6 +57,27 @@ def test_lumped_kernels_are_stochastic_and_stationary():
                 np.ones(kernel.size), abs=1e-12
             )
             assert chain.stationarity_defect(kernel, space) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 6, 25, 48, 50])
+def test_lumped_scan_table_is_scipy_binom_pmf(n):
+    # The golden record pins the lumped scan results this table gives.
+    # scipy's pmf differs from the exact C(n,k)/2^n by up to 7.8e-15
+    # relative at n <= 10, so a switch to the exact table must fail here
+    # (it moves relax_as at n = 25..29 and mix_as at n = 48). Each row is
+    # divided by its sum, as make_kernel does; at n = 48 and 50 that sum
+    # is not 1.
+    b = binom.pmf(np.arange(n + 1), n, 0.5)
+    size = 2 * n + 1
+    row_l, row_r = np.zeros(size), np.zeros(size)
+    row_l[0] = b[0] * b[0]
+    row_l[1:n + 1] = b[1:]
+    row_l[n + 1:] = b[0] * b[1:]
+    row_r[0] = b[0]
+    row_r[n + 1:] = b[1:]
+    matrix = lumped_as_kernel(n).matrix
+    assert np.all(matrix[:n + 1] == row_l / row_l.sum())
+    assert np.all(matrix[n + 1:] == row_r / row_r.sum())
 
 
 def test_lumped_ru_reversible():
