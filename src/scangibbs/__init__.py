@@ -17,7 +17,6 @@ from .chain import (
     StateSpace,
     adjoint,
     enumerate_state_space,
-    ergodicity_check,
     reversibilization,
 )
 from .spectral import (

@@ -1,4 +1,4 @@
-"""State-space enumeration, the sparse random-update kernel and the joint table.
+"""State-space enumeration, dense kernel operations and the joint table.
 
 Dense kernels are row-stochastic float64 matrices tagged with the time
 unit one application of the matrix represents: a single variable update,
@@ -160,82 +160,6 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
     return StateSpace(configs=configs, pi=pi, domain_size=S)
 
 
-def _single_site_probs(space: StateSpace, x: int):
-    """Row targets and probabilities of resampling variable x.
-
-    Returns (targets, probs), each of shape (N, S): column s holds the
-    row of the configuration with x set to s and its conditional
-    probability, or -1 and 0 when that configuration is off the support.
-    A state where pi underflows at every value of x raises NumericalError.
-    """
-    S = space.domain_size
-    stride = S ** (space.n_variables - 1 - x)
-    base = space.keys - space.configs[:, x].astype(np.int64) * stride
-    targets = space.position[base[:, None] + stride * np.arange(S)]
-    weights = np.where(targets >= 0, space.pi[targets], 0.0)
-    totals = weights.sum(axis=1)
-    if not totals.all():
-        raise NumericalError(
-            f"pi vanishes at every value of variable {x} at some state, "
-            "so its conditional law there is 0/0"
-        )
-    probs = weights / totals[:, None]
-    return targets, probs
-
-
-def _site_sum(model: BipartiteModel, space: StateSpace) -> sp.csr_array:
-    """Sum over all variables of the single-site kernels, built in one pass.
-
-    A move of variable x changes x alone, so each off-diagonal entry
-    comes from one site. The diagonal adds the holding probabilities in
-    site order, so every entry equals the sum of the single-site kernels
-    taken one after another, bit for bit. Every diagonal entry is
-    stored, as an explicit zero where pi vanishes at the state.
-    """
-    N = space.size
-    states = np.arange(N)
-    rows, cols, probs = [], [], []
-    diagonal = np.zeros(N)
-    for x in range(model.n):
-        targets, site = _single_site_probs(space, x)
-        held = space.configs[:, x]
-        diagonal = diagonal + site[states, held]
-        moves = site > 0.0
-        moves[states, held] = False
-        r, s = np.nonzero(moves)
-        rows.append(r)
-        cols.append(targets[r, s])
-        probs.append(site[r, s])
-    rows.append(states)
-    cols.append(states)
-    probs.append(diagonal)
-    matrix = sp.csr_array(
-        (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N, N),
-    )
-    matrix.sum_duplicates()
-    return matrix
-
-
-def random_update_sparse(
-    model: BipartiteModel, space: StateSpace, lazy: bool = True
-) -> sp.csr_array:
-    """The random-update kernel as a sparse matrix, at most n(S-1)+1 entries a row.
-
-    The lazy form is mixed on the data array: the diagonal, stored in
-    every row, becomes 0.5 x + 0.5 and every other entry 0.5 x. It gets
-    the checks of make_kernel but no renormalization.
-    """
-    matrix = _site_sum(model, space)
-    matrix.data *= 1.0 / model.n
-    if lazy:
-        matrix.data *= 0.5
-        rows = np.repeat(np.arange(space.size), np.diff(matrix.indptr))
-        matrix.data[matrix.indices == rows] += 0.5
-    _check_stochastic(matrix.min(), matrix.sum(axis=1))
-    return matrix
-
-
 @dataclass(frozen=True)
 class JointTable:
     """pi as a table over the sub-configurations of the two partitions.
@@ -270,7 +194,11 @@ def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
     joint = joint.reshape(S ** model.n1, S ** model.n2)
     p1 = joint.sum(axis=1)
     p2 = joint.sum(axis=0)
-    return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])
+    # Where pi underflows, a whole row or column of J can be 0 and its
+    # conditional law 0/0. The scan is then not ergodic, which every
+    # analysis checks (spectral.check_scan_ergodic) before it reads one.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])
 
 
 def stationarity_defect(kernel: Kernel, space: StateSpace) -> float:
@@ -309,22 +237,15 @@ def is_reversible(kernel: Kernel, space: StateSpace, tol: float = _STATIONARITY_
     return detailed_balance_violation(kernel, space) <= tol
 
 
-def ergodicity_check(kernel: Kernel | sp.csr_array) -> dict[str, bool]:
-    """Irreducibility via strong connectivity; aperiodicity via self-loops.
+def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
+    """Irreducibility via strong connectivity; aperiodicity via a self-loop.
 
-    Takes a Kernel or a sparse transition matrix. A positive diagonal
-    entry suffices for aperiodicity of an irreducible chain, which
-    covers every kernel built here.
+    Takes a Kernel or a sparse matrix whose positive entries are the
+    moves of the chain. A positive diagonal entry suffices for
+    aperiodicity of an irreducible chain, which covers every kernel
+    built here; a chain without one is reported as not ergodic.
     """
     matrix = kernel.matrix if isinstance(kernel, Kernel) else kernel
     support = sp.csr_array(matrix > 0.0)
     n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return {
-        "irreducible": bool(n_comp == 1),
-        "aperiodic": bool(np.any(support.diagonal())),
-    }
-
-
-def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
-    res = ergodicity_check(kernel)
-    return res["irreducible"] and res["aperiodic"]
+    return bool(n_comp == 1 and support.diagonal().any())

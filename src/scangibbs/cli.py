@@ -125,11 +125,11 @@ def _samplers(args):
 
 def _per_sampler(mdl, args, ru, scan):
     """(sampler, unit, ru(S, space) or scan(joint table)) per selected sampler, RU first;
-    S is the symmetric form of the sparse random-update kernel."""
+    S is the symmetric form of the random-update kernel."""
     space = chain.enumerate_state_space(mdl, cap=args.cap)
     samplers = _samplers(args)
     if "random_update" in samplers:
-        s_ru = spectral.symmetric_form(chain.random_update_sparse(mdl, space, args.lazy), space.pi)
+        s_ru = spectral.random_update_symmetric(mdl, space, args.lazy)
         yield "random_update", chain.UNIT_VARIABLE, ru(s_ru, space)
     if "alternating_scan" in samplers:
         yield "alternating_scan", chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))

@@ -22,9 +22,9 @@ from .spectral import (
     NonErgodicError,
     check_scan_ergodic,
     random_update_report,
+    random_update_symmetric,
     scan_correlation,
     scan_report,
-    symmetric_form,
 )
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
@@ -308,7 +308,7 @@ def active_start_mixing_time(
     t_max: int = DEFAULT_T_MAX,
 ) -> int | None:
     """Worst-start mixing time of a sparse pi-reversible kernel P, from
-    its symmetric form S = D^{1/2} P D^{-1/2} (spectral.symmetric_form).
+    its symmetric form S = D^{1/2} P D^{-1/2} (spectral.random_update_symmetric).
 
     It is the mixing time of exact_mixing_time(method="doubling"), or
     None where that report is truncated at t_max, up to rounding. Each
@@ -385,17 +385,17 @@ def verify_mixing_bounds(
     (b) T_mix(AS) <= log(4e^2 / pi_min) T_rel(AS)
     (c) T_mix(AS) <= log(4e^2 / pi_min) (T_mix(RU) + 1)
 
-    The random-update side runs on the symmetric form S of one sparse
-    kernel, formed once: T_rel(RU) from its SLEM (random_update_report)
-    and T_mix(RU) from its powers, searched on the starts not yet mixed
-    (active_start_mixing_time).
+    The random-update side runs on the symmetric form S of its kernel,
+    built once (random_update_symmetric): T_rel(RU) from its SLEM
+    (random_update_report) and T_mix(RU) from its powers, searched on the
+    starts not yet mixed (active_start_mixing_time).
     The scan side runs on the joint table (scan_report, scan_mixing_time).
     """
     space = chain.enumerate_state_space(model, cap=cap)
     table = chain.joint_table(model, space)
     pi_min = float(space.pi.min())
 
-    s_ru = symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
+    s_ru = random_update_symmetric(model, space, lazy)
     t_rel_ru = random_update_report(s_ru, space).relaxation_time
     t_rel_as = scan_report(table).relaxation_time
     t_mix_ru = active_start_mixing_time(s_ru, space, threshold, t_max)

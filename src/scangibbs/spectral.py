@@ -129,7 +129,9 @@ def scan_correlation(table: chain.JointTable) -> float:
     D1^{-1/2} J D2^{-1/2} (Liu, Wong & Kong 1994).
     """
     check_scan_ergodic(table)
-    normalized = table.joint / np.sqrt(np.outer(table.p1, table.p2))
+    # Scaled one side at a time: sqrt(p1 p2) can underflow to 0 where
+    # each marginal alone does not.
+    normalized = table.joint / np.sqrt(table.p1)[:, None] / np.sqrt(table.p2)[None, :]
     sigma = np.linalg.svd(normalized, compute_uv=False)
     rho = float(sigma[1]) if sigma.size > 1 else 0.0
     if rho >= 1.0:
@@ -158,51 +160,72 @@ def scan_report(table: chain.JointTable) -> SpectralReport:
     )
 
 
-def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
-    """D^{1/2} P D^{-1/2} of an ergodic sparse pi-reversible kernel P.
+def random_update_symmetric(
+    model: BipartiteModel, space: StateSpace, lazy: bool = True
+) -> sp.csr_array:
+    """S = D^{1/2} P_RU D^{-1/2} of the random-update kernel, built from pi.
 
-    P is in canonical CSR form (sorted indices, no duplicates), as
-    random_update_sparse returns it. Each stored entry (x, y) is paired
-    with its transpose (y, x) by one sort of the pattern; an entry
-    without one raises NumericalError. Detailed balance and the symmetry
-    of the conjugate are checked on the pairs, and ergodicity on P. The
-    result averages the conjugate with its transpose on P's own indptr
-    and indices, so it is exactly symmetric. An ergodic kernel's
+    Resampling variable x is the pi-orthogonal projection onto functions
+    not depending on x (Liu, Wong & Kong 1995). With r = sqrt(pi) and
+    Z_x(c) = sum_s pi(c^{x=s}), the pi-mass of the fiber of c along x,
+
+        S(c, c^{x=s}) = r(c) r(c^{x=s}) / (n Z_x(c))    (c^{x=s} != c)
+        S(c, c)       = (1/n) sum_x pi(c) / Z_x(c),
+
+    at most n(S-1)+1 entries a row. An off-diagonal entry is formed as
+    q(c) q(c') / n with q = r / sqrt(Z_x), which stays in the normal
+    range where pi is subnormal and r(c) r(c') may not. Z_x is the same
+    float at every cell of a fiber and the product commutes, so S is
+    symmetric to the bit. The lazy form 0.5 I + 0.5 S is mixed on the data array, as every diagonal
+    entry is stored. The row sums of P are (S r) / r and get the checks
+    of make_kernel; ergodicity is checked on S. An ergodic chain's
     stationary law is positive, so a zero in pi raises NonErgodicError
-    before any division by sqrt(pi).
+    before any division.
     """
+    pi = space.pi
     if not pi.all():
         raise NonErgodicError("kernel is not ergodic: pi vanishes at a state")
-    cols, indptr = matrix.indices, matrix.indptr
-    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(indptr))
-    # Sorted by (column, row), the k-th entry is the transpose of the k-th stored one.
-    transpose = np.lexsort((rows, cols))
-    if not (np.array_equal(cols[transpose], rows) and np.array_equal(rows[transpose], cols)):
-        raise NumericalError("kernel has an entry whose transpose is not stored")
-    flux = pi[rows] * matrix.data
-    violation = np.max(np.abs(flux - flux[transpose]))
-    if violation > _REVERSIBILITY_TOL:
-        raise NumericalError(f"kernel violates detailed balance by {violation}")
-    sqrt_pi = np.sqrt(pi)
-    m = (matrix.data * sqrt_pi[rows]) * (1.0 / sqrt_pi)[cols]
-    asym = np.max(np.abs(m - m[transpose]))
-    if asym > _SYMMETRY_TOL:
-        raise NumericalError(
-            f"kernel not symmetric after conjugation: asymmetry {asym}"
-        )
-    if not is_ergodic(matrix):
+    N, S, n = space.size, space.domain_size, model.n
+    r = np.sqrt(pi)
+    states = np.arange(N)
+    rows, cols, values = [], [], []
+    diagonal = np.zeros(N)
+    for x in range(n):
+        stride = S ** (n - 1 - x)
+        base = space.keys - space.configs[:, x].astype(np.int64) * stride
+        fiber = space.position[base[:, None] + stride * np.arange(S)]
+        mass = np.where(fiber >= 0, pi[fiber], 0.0).sum(axis=1)
+        diagonal += pi / mass
+        root = r / np.sqrt(mass)
+        c, s = np.nonzero((fiber >= 0) & (fiber != states[:, None]))
+        rows.append(c)
+        cols.append(fiber[c, s])
+        values.append(root[c] * root[fiber[c, s]] / n)
+    rows.append(states)
+    cols.append(states)
+    values.append(diagonal / n)
+    symmetric = sp.csr_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
+    )
+    symmetric.sum_duplicates()
+    if lazy:
+        symmetric.data *= 0.5
+        symmetric.data[symmetric.indices == np.repeat(states, np.diff(symmetric.indptr))] += 0.5
+    chain._check_stochastic(symmetric.data.min(), (symmetric @ r) / r)
+    if not is_ergodic(symmetric):
         raise NonErgodicError("kernel is not ergodic")
-    return sp.csr_array((0.5 * (m + m[transpose]), cols, indptr), shape=matrix.shape)
+    return symmetric
 
 
 def sparse_deviation_norm(symmetric: sp.csr_array, space: StateSpace) -> float:
     """L2(pi) norm of P - S_pi for a sparse pi-reversible kernel P.
 
-    It is the largest |eigenvalue| of symmetric = symmetric_form(P)
-    deflated by sqrt(pi) sqrt(pi)^T. Up to _DENSE_EIGEN_MAX states that
-    goes to a dense eigensolver; above it ARPACK finds both ends of its
-    spectrum from a fixed start vector, so results repeat exactly, and
-    again on the spectrum shifted by 1 if that does not converge.
+    It is the largest |eigenvalue| of symmetric = D^{1/2} P D^{-1/2}
+    (random_update_symmetric) deflated by sqrt(pi) sqrt(pi)^T. Up to
+    _DENSE_EIGEN_MAX states that goes to a dense eigensolver; above it
+    ARPACK finds both ends of its spectrum from a fixed start vector, so
+    results repeat exactly, and again on the spectrum shifted by 1 if
+    that does not converge.
     """
     sqrt_pi = np.sqrt(space.pi)
     N = space.size
@@ -251,8 +274,7 @@ def verify_theorem1(
     rhs = SLEM^2 from random_update_report.
     """
     space = chain.enumerate_state_space(model, cap=cap)
-    s_ru = symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
-    ru = random_update_report(s_ru, space)
+    ru = random_update_report(random_update_symmetric(model, space, lazy), space)
     scan = scan_report(chain.joint_table(model, space))
     lhs = scan.second_largest_modulus
     rhs = ru.second_largest_modulus ** 2

@@ -1,11 +1,12 @@
 """Full-space oracles that only the tests use.
 
 The library runs the alternating scan on the joint table of the two
-partitions and the random-update spectrum on the sparse kernel. Its
-results are checked against these: the per-configuration Hamiltonian and
-conditionals, the dense single-site, random-update and scan kernels, the
-single-site kernels summed one after another, the lazy kernel and the
-symmetric form D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
+partitions and the random-update spectrum on the symmetric form built
+from pi. Its results are checked against these: the per-configuration
+Hamiltonian and conditionals, the dense single-site, random-update and
+scan kernels, the single-site kernels from a fiber lookup of their own,
+summed one after another, the lazy kernel and the symmetric form
+D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
 operator norm, the fill check on a dense kernel, the exact rational
 random-update kernel, the hardcore lumping maps and the TV distance of
 two distributions.
@@ -128,8 +129,24 @@ def conditional_distribution(model: BipartiteModel, config, variable: int) -> np
 
 
 def single_site_sparse(space: StateSpace, x: int) -> sp.csr_array:
-    """Sparse transition matrix of resampling the single variable x."""
-    targets, probs = chain._single_site_probs(space, x)
+    """Sparse transition matrix of resampling the single variable x.
+
+    Column s of targets holds the row of each state with x set to s, or
+    -1 off the support, and probs its conditional probability. A state
+    where pi underflows at every value of x raises NumericalError.
+    """
+    S = space.domain_size
+    stride = S ** (space.n_variables - 1 - x)
+    base = space.keys - space.configs[:, x].astype(np.int64) * stride
+    targets = space.position[base[:, None] + stride * np.arange(S)]
+    weights = np.where(targets >= 0, space.pi[targets], 0.0)
+    totals = weights.sum(axis=1)
+    if not totals.all():
+        raise NumericalError(
+            f"pi vanishes at every value of variable {x} at some state, "
+            "so its conditional law there is 0/0"
+        )
+    probs = weights / totals[:, None]
     rows, s = np.nonzero(targets >= 0)
     mat = sp.csr_array(
         (probs[rows, s], (rows, targets[rows, s])), shape=(space.size, space.size)
@@ -159,8 +176,8 @@ def random_update_kernel(
 ) -> Kernel:
     """Dense uniform-site Gibbs kernel; the lazy form holds with probability 1/2.
 
-    Built from sequential_site_sum, so it shares no code with
-    chain._site_sum, which it equals bit for bit.
+    Built from the single-site kernels added one after another, so it
+    shares no code with spectral.random_update_symmetric.
     """
     matrix = sequential_site_sum(model, space).toarray() / model.n
     label = "P_RU"
@@ -218,7 +235,8 @@ def stationary_projector(space: StateSpace) -> Kernel:
 
 
 def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
-    """spectral.symmetric_form in scipy.sparse operations, the reference.
+    """D^{1/2} P D^{-1/2} of a sparse reversible P in scipy.sparse operations,
+    the reference for spectral.random_update_symmetric.
 
     Checks detailed balance, the symmetry of the conjugate and
     ergodicity, then averages the conjugate with its transpose.
@@ -238,8 +256,8 @@ def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
 
 
 def random_update_sparse_sum(model: BipartiteModel, space: StateSpace, lazy: bool = True):
-    """chain.random_update_sparse as the sparse sum 0.5 I + 0.5 P, the reference."""
-    matrix = chain._site_sum(model, space) / model.n
+    """The sparse random-update kernel, lazy as the sparse sum 0.5 I + 0.5 P."""
+    matrix = sequential_site_sum(model, space) / model.n
     if lazy:
         matrix = 0.5 * sp.eye(space.size, format="csr") + 0.5 * matrix
     return sp.csr_array(matrix)

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import scangibbs as sg
-from scangibbs import chain
+from scangibbs import chain, spectral
 from scangibbs.chain import StateSpaceCapError
+from scangibbs.spectral import NonErgodicError
 
 from oracles import (
     conditional_distribution,
@@ -14,7 +16,6 @@ from oracles import (
     random_update_kernel,
     random_update_sparse_sum,
     scan_kernels,
-    sequential_site_sum,
     single_site_kernel,
     stationary_projector,
 )
@@ -250,17 +251,22 @@ def test_reversibilization_is_reversible(k22):
 
 def test_ergodicity_hardcore(hardcore_k33):
     space = sg.enumerate_state_space(hardcore_k33)
-    p_ru = random_update_kernel(hardcore_k33, space)
-    assert sg.ergodicity_check(p_ru) == {"irreducible": True, "aperiodic": True}
-    p_as = scan_kernels(hardcore_k33, space)["P_AS"]
-    assert sg.ergodicity_check(p_as) == {"irreducible": True, "aperiodic": True}
+    assert chain.is_ergodic(random_update_kernel(hardcore_k33, space))
+    assert chain.is_ergodic(scan_kernels(hardcore_k33, space)["P_AS"])
 
 
 def test_ergodicity_identity_kernel():
+    # every state holds: self-loops everywhere, but reducible
     identity = chain.Kernel(np.eye(3), chain.UNIT_COMPOSITE, "I")
-    res = sg.ergodicity_check(identity)
-    assert not res["irreducible"]
-    assert res["aperiodic"]
+    assert not chain.is_ergodic(identity)
+    assert not chain.is_ergodic(sp.eye_array(3, format="csr"))
+
+
+def test_ergodicity_periodic_two_cycle():
+    # irreducible, but every return takes an even number of steps
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert not chain.is_ergodic(chain.Kernel(flip, chain.UNIT_COMPOSITE, "flip"))
+    assert not chain.is_ergodic(sp.csr_array(flip))
 
 
 def test_stationarity_of_all_kernels(rbm):
@@ -291,66 +297,39 @@ def test_alternating_scan_breaks_detailed_balance(rbm):
     assert db_violation(p_as, space) > 1e-6
 
 
-def test_site_sum_is_the_sequential_sum_byte_for_byte(engine_models):
-    for model in engine_models:
-        space = sg.enumerate_state_space(model)
-        fast, slow = chain._site_sum(model, space), sequential_site_sum(model, space)
-        for field in ("indptr", "indices", "data"):
-            a, b = getattr(fast, field), getattr(slow, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (model.label, field)
-
-
 @pytest.mark.parametrize("lazy", [True, False])
 def test_random_update_sparse_is_the_sparse_sum_bit_for_bit(
         engine_models, exact_small_models, lazy):
-    # the lazy mix on the data array against 0.5 I + 0.5 P in sparse operations
+    # S stores the entries of the sparse sum P, every diagonal included, and
+    # the lazy mix on the data array is 0.5 I + 0.5 S in sparse operations.
     for model in (*engine_models, *exact_small_models):
         space = sg.enumerate_state_space(model)
-        fast = chain.random_update_sparse(model, space, lazy)
-        slow = random_update_sparse_sum(model, space, lazy)
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(fast, field), getattr(slow, field)), (
-                model.label, field)
-
-
-@pytest.mark.parametrize("shift, moved, match", [
-    (1e-13, True, "negative tolerance"),  # row 0 keeps its sum
-    (1e-9, False, "row sums deviate"),
-])
-def test_sparse_kernel_gets_the_kernel_checks(rbm, monkeypatch, shift, moved, match):
-    model, space = rbm
-    site_sum = chain._site_sum
-
-    def perturbed(*args):
-        matrix = site_sum(*args)
-        # two off-diagonal entries of row 0: its diagonal entry comes first
-        last = matrix.indptr[1] - 1
-        if moved:
-            matrix.data[last - 1] += matrix.data[last] + shift
-            matrix.data[last] = -shift
-        else:
-            matrix.data[last] += shift
-        return matrix
-
-    monkeypatch.setattr(chain, "_site_sum", perturbed)
-    for lazy in (True, False):
-        with pytest.raises(chain.NumericalError, match=match):
-            chain.random_update_sparse(model, space, lazy)
-        with pytest.raises(chain.NumericalError, match=match):
-            sg.verify_mixing_bounds(model, lazy=lazy)
+        s = spectral.random_update_symmetric(model, space, lazy)
+        p = random_update_sparse_sum(model, space, lazy)
+        for field in ("indptr", "indices"):
+            assert np.array_equal(getattr(s, field), getattr(p, field)), (model.label, field)
+        if lazy:
+            eager = spectral.random_update_symmetric(model, space, lazy=False)
+            mixed = sp.csr_array(0.5 * sp.eye_array(space.size, format="csr") + 0.5 * eager)
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(s, field), getattr(mixed, field)), (
+                    model.label, field)
 
 
 def test_underflowed_site_fails_both_kernel_builders():
     # At (x1, x2) = (0, 1) both values of x1 have pi = exp(-1400) / Z and
     # exp(-800) / Z, which underflow to 0: the conditional law is 0/0.
+    # The dense oracle meets the 0/0; the symmetric form stops at the
+    # zero in pi before any division.
     model = sg.build_rbm([[-100.0]], [700.0], [-700.0])
     space = sg.enumerate_state_space(model)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for lazy in (True, False):
-            for build in (random_update_kernel, chain.random_update_sparse):
-                with pytest.raises(chain.NumericalError, match="pi vanishes"):
-                    build(model, space, lazy)
+            with pytest.raises(chain.NumericalError, match="pi vanishes"):
+                random_update_kernel(model, space, lazy)
+            with pytest.raises(NonErgodicError, match="pi vanishes"):
+                spectral.random_update_symmetric(model, space, lazy)
 
 
 @pytest.mark.parametrize("low, sums", [
@@ -359,4 +338,13 @@ def test_underflowed_site_fails_both_kernel_builders():
 ])
 def test_stochastic_check_rejects_nan(low, sums):
     with pytest.raises(chain.NumericalError):
+        chain._check_stochastic(low, sums)
+
+
+@pytest.mark.parametrize("low, sums, match", [
+    (-1e-13, np.ones(2), "negative tolerance"),
+    (0.0, np.array([1.0, 1.0 + 1e-9]), "row sums deviate"),
+])
+def test_stochastic_check_rejects_a_negative_entry_or_a_drifted_row(low, sums, match):
+    with pytest.raises(chain.NumericalError, match=match):
         chain._check_stochastic(low, sums)

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -417,18 +418,29 @@ def test_negative_edge_count_is_user_error(tmp_path, capsys):
 
 
 def test_kernel_check_failure_is_numerical(tmp_path, monkeypatch, capsys):
-    site_sum = sg.chain._site_sum
+    enumerate_state_space = chain.enumerate_state_space
 
-    def drifted(*args):
-        matrix = site_sum(*args)
-        matrix.data[-1] += 1e-9
-        return matrix
+    def poisoned(*args, **kwargs):
+        space = enumerate_state_space(*args, **kwargs)
+        pi = space.pi.copy()
+        pi[-1] = np.nan
+        return chain.StateSpace(space.configs, pi, space.domain_size)
 
-    monkeypatch.setattr(sg.chain, "_site_sum", drifted)
+    checked = []
+    check_stochastic = chain._check_stochastic
+
+    def recording(low, sums):
+        checked.append(low)
+        check_stochastic(low, sums)
+
+    monkeypatch.setattr(chain, "enumerate_state_space", poisoned)
+    monkeypatch.setattr(chain, "_check_stochastic", recording)
     argv = ["verify", "--suite", "mixing_bounds", "--model", "hardcore_knn", "--n", "3",
             "--out", str(tmp_path)]
     assert run_cli(argv) == cli.EXIT_NUMERICAL_ERROR
-    assert "row sums deviate" in capsys.readouterr().err
+    # a NaN in pi is a NaN in S, which the kernel checks reject
+    assert len(checked) == 1 and math.isnan(checked[0])
+    assert "below the negative tolerance" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -443,6 +455,39 @@ def test_underflowed_conditional_is_numerical(tmp_path, capsys, command):
         assert run_cli([*command, "--model-file", str(model_file), "--out", str(out)]) == (
             cli.EXIT_NUMERICAL_ERROR)
     assert "pi vanishes" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_scan_spectrum_survives_an_underflowed_product_of_marginals(tmp_path, capsys):
+    # p1 and p2 each reach 1.9e-174, whose product underflows to 0; the
+    # weight is 0, so x1 and x2 are independent and rho = 0
+    model_file = tmp_path / "rbm.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[0.0]], "bias1": [400.0], "bias2": [-400.0]}))
+    argv = ["spectral", "--samplers", "alternating_scan", "--model-file", str(model_file),
+            "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    t_rel = float(_rows_by(tmp_path / "out" / "spectral.csv")[
+        "alternating_scan", "relaxation_time"])
+    assert t_rel == pytest.approx(1.0, abs=1e-12)
+
+
+def test_scan_with_an_empty_column_is_not_ergodic_without_a_warning(tmp_path, capsys):
+    # every x1 has pi = 0 beside x2 = 1, so J has a zero column
+    model_file = tmp_path / "rbm.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[-100.0]], "bias1": [700.0], "bias2": [-700.0]}))
+    out = tmp_path / "out"
+    argv = ["spectral", "--samplers", "alternating_scan", "--model-file", str(model_file),
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == cli.EXIT_NUMERICAL_ERROR
+    err = capsys.readouterr().err
+    assert "not ergodic" in err and "Warning" not in err
     assert not out.exists() or list(out.iterdir()) == []
 
 
@@ -609,16 +654,16 @@ def test_cli_random_update_curve_matches_the_rational_oracle(tmp_path):
 @pytest.mark.parametrize("argv", [["spectral"], ["mixing"], ["verify", "--suite", "fill"]])
 def test_cli_random_update_runs_on_the_symmetric_form(tmp_path, monkeypatch, argv):
     formed = []
-    symmetric_form = spectral.symmetric_form
+    random_update_symmetric = spectral.random_update_symmetric
 
     def counting(*args):
         formed.append(args)
-        return symmetric_form(*args)
+        return random_update_symmetric(*args)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("dense random-update path called")
 
-    monkeypatch.setattr(spectral, "symmetric_form", counting)
+    monkeypatch.setattr(spectral, "random_update_symmetric", counting)
     for module, name in ((chain, "make_kernel"), (chain, "reversibilization"),
                          (spectral, "deviation_norm"), (spectral, "relaxation_time"),
                          (mixing, "exact_mixing_time")):

@@ -209,11 +209,6 @@ def test_verify_mixing_bounds_matches_dense_oracle(engine_models, lazy):
         assert result["t_mix_as"] == exact_mixing_time(p_as, space, method="doubling").mixing_time
 
 
-def _ru_symmetric(model, space, lazy=True):
-    """S = D^{1/2} P D^{-1/2} of the sparse random-update kernel P."""
-    return spectral.symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
-
-
 def _per_start_tv(kernel, space, t):
     power = np.linalg.matrix_power(kernel.matrix, t)
     return 0.5 * np.abs(power - space.pi).sum(axis=1)
@@ -226,7 +221,7 @@ def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
         space = sg.enumerate_state_space(model)
         p_ru = random_update_kernel(model, space, lazy=lazy)
         expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
-        s_ru = _ru_symmetric(model, space, lazy)
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
         assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected, model.label
 
 
@@ -236,7 +231,7 @@ def test_random_update_mixing_time_matches_dense_doubling(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
         p_ru = random_update_kernel(model, space, lazy=lazy)
-        s_ru = _ru_symmetric(model, space, lazy)
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
         for threshold, t_max in ((mixing.DEFAULT_THRESHOLD, 10 ** 6), (0.01, 10 ** 6),
                                  (mixing.DEFAULT_THRESHOLD, 3)):
             dense = exact_mixing_time(p_ru, space, threshold, t_max, method="doubling")
@@ -257,7 +252,8 @@ def test_random_update_fill_matches_dense_oracle(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
         dense = verify_fill_inequality(random_update_kernel(model, space, lazy=lazy), space)
-        result = mixing.random_update_fill_inequality(_ru_symmetric(model, space, lazy), space)
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
+        result = mixing.random_update_fill_inequality(s_ru, space)
         assert result["holds"] == dense["holds"], model.label
         assert result["contraction"] == pytest.approx(dense["contraction"], rel=1e-10, abs=1e-14)
         for t, margin in dense["worst_margin_by_t"].items():
@@ -276,7 +272,8 @@ def test_active_start_search_follows_the_start_that_mixes_last(asymmetric_rbm):
     # still above the threshold at t = 22, so no single row can be tracked.
     space = sg.enumerate_state_space(asymmetric_rbm)
     p = random_update_kernel(asymmetric_rbm, space, lazy=True)
-    t_mix = mixing.active_start_mixing_time(_ru_symmetric(asymmetric_rbm, space), space)
+    s_ru = spectral.random_update_symmetric(asymmetric_rbm, space)
+    t_mix = mixing.active_start_mixing_time(s_ru, space)
     assert t_mix == exact_mixing_time(p, space, method="doubling").mixing_time == 23
     last = _per_start_tv(p, space, t_mix - 1)
     assert np.argmax(_per_start_tv(p, space, 16)) != np.argmax(last)
@@ -295,7 +292,7 @@ def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkey
 
     # Each row formed is read once, after the rows of S itself.
     monkeypatch.setattr(mixing, "_symmetric_deviation", counting)
-    s_ru = _ru_symmetric(asymmetric_rbm, space)
+    s_ru = spectral.random_update_symmetric(asymmetric_rbm, space)
     assert mixing.active_start_mixing_time(s_ru, space) == 23
     assert rows_read[0] == space.size
     rows_formed = rows_read[1:]
@@ -324,7 +321,8 @@ def test_active_start_squares_are_byte_symmetric(engine_models, monkeypatch, laz
     monkeypatch.setattr(mixing, "_symmetric_square", recording)
     for model in engine_models:
         space = sg.enumerate_state_space(model)
-        mixing.active_start_mixing_time(_ru_symmetric(model, space, lazy), space, threshold=0.01)
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
+        mixing.active_start_mixing_time(s_ru, space, threshold=0.01)
     assert len(squares) > 2 * len(engine_models)
     for square in squares:
         _assert_byte_symmetric(square)
@@ -350,7 +348,7 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
     for model in engine_models:
         space = sg.enumerate_state_space(model)
         p = random_update_kernel(model, space, lazy=lazy).matrix
-        s = _ru_symmetric(model, space, lazy).toarray()
+        s = spectral.random_update_symmetric(model, space, lazy).toarray()
         starts, r = np.arange(space.size), np.sqrt(space.pi)
         for t in range(1, 9):
             expected = mixing._abs_deviation(np.linalg.matrix_power(p, t), space.pi)
@@ -365,7 +363,7 @@ def test_symmetric_readout_does_not_depend_on_the_rows_read_with_it(monkeypatch)
     # the 2048 rows a different last bit in blocks of 1 than in blocks of 128.
     model = sg.random_bipartite_model(5, 6, 30, -1.0, 1.0, 1)
     space = sg.enumerate_state_space(model, cap=4096)
-    power = _ru_symmetric(model, space)
+    power = spectral.random_update_symmetric(model, space)
     for _ in range(3):
         power = mixing._symmetric_square(power)
     starts, r = np.arange(space.size), np.sqrt(space.pi)
@@ -383,7 +381,7 @@ def test_symmetric_readout_does_not_depend_on_the_rows_read_with_it(monkeypatch)
 def test_active_start_search_at_t0_and_t1(zero_rbm_22):
     space = sg.enumerate_state_space(zero_rbm_22)
     p = random_update_kernel(zero_rbm_22, space, lazy=False)
-    s_ru = _ru_symmetric(zero_rbm_22, space, lazy=False)
+    s_ru = spectral.random_update_symmetric(zero_rbm_22, space, lazy=False)
     # TV is 15/16 at t = 0; after one update P(x, .) meets pi = 1/16 only
     # on x and its 4 neighbours, so TV = 1 - 5/16
     assert _per_start_tv(p, space, 1).max() == pytest.approx(0.6875)
@@ -395,7 +393,7 @@ def test_active_start_search_at_t0_and_t1(zero_rbm_22):
 def test_active_start_search_truncation(k22):
     model, space = k22
     p = random_update_kernel(model, space, lazy=True)
-    s_ru = _ru_symmetric(model, space)
+    s_ru = spectral.random_update_symmetric(model, space)
     for t_max in range(1, 40):
         report = exact_mixing_time(p, space, t_max=t_max, method="doubling")
         expected = None if report.truncated else report.mixing_time
@@ -412,7 +410,7 @@ def test_active_start_search_squares_sparsely_while_sparse(monkeypatch):
     # entries a row, S^2 is 3.3% full and S^4 27%.
     model = sg.random_bipartite_model(5, 6, 30, -1.0, 1.0, 1)
     space = sg.enumerate_state_space(model, cap=4096)
-    s_ru = _ru_symmetric(model, space)
+    s_ru = spectral.random_update_symmetric(model, space)
     calls = []
     symmetric_square = mixing._symmetric_square
 
@@ -442,24 +440,25 @@ def test_active_start_search_squares_sparsely_while_sparse(monkeypatch):
 
 
 def test_active_start_search_rejects_non_ergodic():
-    space = sg.enumerate_state_space(sg.build_rbm(np.zeros((1, 1)), np.zeros(1), np.zeros(1)))
-    # the search takes S from symmetric_form, which checks ergodicity
+    # pi of (x1, x2) = (0, 1) underflows to 0; the search takes S from
+    # random_update_symmetric, which checks ergodicity
+    model = sg.build_rbm(np.zeros((1, 1)), [400.0], [-400.0])
+    space = sg.enumerate_state_space(model)
     with pytest.raises(sg.spectral.NonErgodicError):
-        mixing.active_start_mixing_time(
-            spectral.symmetric_form(sp.eye_array(space.size, format="csr"), space.pi), space)
+        mixing.active_start_mixing_time(spectral.random_update_symmetric(model, space), space)
 
 
 def test_verify_mixing_bounds_assembles_one_sparse_kernel(engine_models, monkeypatch):
     expected = [sg.verify_mixing_bounds(model, lazy=lazy)
                 for model in engine_models for lazy in (True, False)]
     assembled = []
-    random_update_sparse = chain.random_update_sparse
+    random_update_symmetric = spectral.random_update_symmetric
 
     def counting(*args, **kwargs):
         assembled.append(args)
-        return random_update_sparse(*args, **kwargs)
+        return random_update_symmetric(*args, **kwargs)
 
-    monkeypatch.setattr(chain, "random_update_sparse", counting)
+    monkeypatch.setattr(mixing, "random_update_symmetric", counting)
     # the dense random-update kernel is a test oracle, not part of the package
     assert not hasattr(chain, "random_update_kernel")
     assert [sg.verify_mixing_bounds(model, lazy=lazy)

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -212,11 +213,6 @@ def test_verify_theorem1_matches_dense_oracle(engine_models, lazy):
                 model.label, key)
 
 
-def _ru_symmetric(model, space, lazy):
-    """S = D^{1/2} P D^{-1/2} of the sparse random-update kernel P."""
-    return spectral.symmetric_form(chain.random_update_sparse(model, space, lazy), space.pi)
-
-
 @pytest.mark.parametrize("lazy", [True, False])
 def test_sparse_slem_matches_dense_both_solvers(engine_models, lazy):
     sizes = set()
@@ -224,7 +220,8 @@ def test_sparse_slem_matches_dense_both_solvers(engine_models, lazy):
         space = sg.enumerate_state_space(model)
         sizes.add(space.size)
         dense = sg.deviation_norm(random_update_kernel(model, space, lazy=lazy), space)
-        sparse = spectral.sparse_deviation_norm(_ru_symmetric(model, space, lazy), space)
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
+        sparse = spectral.sparse_deviation_norm(s_ru, space)
         assert sparse == pytest.approx(dense, rel=1e-12), model.label
     # both the dense solver and ARPACK were exercised
     assert min(sizes) <= spectral._DENSE_EIGEN_MAX < max(sizes)
@@ -238,13 +235,6 @@ def test_scan_correlation_rejects_disconnected_support():
                      mixing.scan_mixing_time, mixing.scan_fill_inequality):
         with pytest.raises(NonErgodicError):
             analysis(joint)
-
-
-def test_sparse_slem_rejects_non_reversible(asymmetric_rbm):
-    space = sg.enumerate_state_space(asymmetric_rbm)
-    p_as = scan_kernels(asymmetric_rbm, space)["P_AS"]
-    with pytest.raises(chain.NumericalError, match="detailed balance"):
-        spectral.symmetric_form(sp.csr_array(p_as.matrix), space.pi)
 
 
 def test_verify_theorem1_repeats_bit_for_bit():
@@ -284,7 +274,7 @@ def test_sparse_slem_sees_the_negative_end(size):
     space = chain.StateSpace(np.arange(size)[:, None], np.full(size, 1.0 / size), size)
     dense = sg.deviation_norm(chain.Kernel(matrix.toarray(), chain.UNIT_COMPOSITE, "P"), space)
     assert dense == pytest.approx(0.96)
-    symmetric = spectral.symmetric_form(matrix, space.pi)
+    symmetric = oracles.symmetric_form(matrix, space.pi)
     assert spectral.sparse_deviation_norm(symmetric, space) == pytest.approx(dense, rel=1e-12)
 
 
@@ -296,28 +286,64 @@ def test_sparse_slem_converges_on_a_zero_cluster():
     space = sg.enumerate_state_space(model)
     assert space.size > spectral._DENSE_EIGEN_MAX
     dense = sg.deviation_norm(random_update_kernel(model, space, lazy=False), space)
-    sparse = spectral.sparse_deviation_norm(_ru_symmetric(model, space, lazy=False), space)
+    s_ru = spectral.random_update_symmetric(model, space, lazy=False)
+    sparse = spectral.sparse_deviation_norm(s_ru, space)
     assert sparse == pytest.approx(dense, rel=1e-12)
     assert sg.verify_theorem1(model, lazy=False)["holds"]
+
+
+def _gamma(k):
+    """Relative error bound of k roundings, k u / (1 - k u) with u = 2^-53."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _assert_byte_symmetric(s, label):
+    transpose = s.T.tocsr()
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(s, field), getattr(transpose, field)), (label, field)
 
 
 @pytest.mark.parametrize("lazy", [True, False])
 def test_symmetric_form_is_the_sparse_reference_bit_for_bit(
         engine_models, exact_small_models, lazy):
+    # The pattern and the symmetry hold to the bit; the values round apart,
+    # 8 roundings here and 9 in the oracle (README, "Random-update spectrum").
+    bound = (_gamma(8) + _gamma(9)) / (1 - _gamma(9))
     for model in (*engine_models, *exact_small_models):
         space = sg.enumerate_state_space(model)
-        p = chain.random_update_sparse(model, space, lazy)
-        s = spectral.symmetric_form(p, space.pi)
-        expected = oracles.symmetric_form(p, space.pi)
-        for field in ("indptr", "indices", "data"):
+        s = spectral.random_update_symmetric(model, space, lazy)
+        expected = oracles.symmetric_form(
+            oracles.random_update_sparse_sum(model, space, lazy), space.pi)
+        for field in ("indptr", "indices"):
             assert np.array_equal(getattr(s, field), getattr(expected, field)), (
                 model.label, field)
+        assert np.all(np.abs(s.data - expected.data) <= bound * expected.data), model.label
+        _assert_byte_symmetric(s, model.label)
 
 
-def test_symmetric_form_rejects_an_entry_without_transpose():
-    matrix = sp.csr_array(np.array([[0.5, 0.5], [0.0, 1.0]]))
-    with pytest.raises(chain.NumericalError, match="transpose"):
-        spectral.symmetric_form(matrix, np.array([0.5, 0.5]))
+@pytest.mark.parametrize("b2, w", [(-30.0, -700.0), (-30.0, -699.0), (-44.5, -699.0)])
+def test_random_update_symmetric_is_exact_where_pi_is_subnormal(b2, w):
+    # pi at (x1, x2) = (0, 1) and (1, 1) is subnormal, down to 1 and 3 ulps at
+    # b2 = -44.5. S(c, t) = sqrt(pi(c) pi(t)) / (n Z) is normal, and so is each
+    # factor r(c) / sqrt(Z) it is formed from; r(c) r(t) and pi(t) / Z are not.
+    model = sg.build_rbm([[w]], [700.0], [b2])
+    space = sg.enumerate_state_space(model)
+    assert np.any(space.pi < np.finfo(float).tiny)
+    s = spectral.random_update_symmetric(model, space, lazy=False)
+    _assert_byte_symmetric(s, model.label)
+    pi = [mpmath.mpf(float(p)) for p in space.pi]
+    coo = s.tocoo()
+    for c, t, value in zip(coo.row, coo.col, coo.data):
+        if c == t:
+            continue
+        # c and t differ in one variable x; Z is the mass of their fiber along x
+        x = int(np.flatnonzero(space.configs[c] != space.configs[t])[0])
+        fiber = np.flatnonzero(np.all(np.delete(space.configs, x, axis=1)
+                                      == np.delete(space.configs[c], x), axis=1))
+        exact = mpmath.sqrt(pi[c] * pi[t]) / (model.n * mpmath.fsum(pi[k] for k in fiber))
+        # 8 roundings, and 1 in the float sum of the two-cell fiber
+        assert abs(value - exact) <= _gamma(9) * exact, (c, t)
 
 
 @pytest.mark.parametrize("lazy", [True, False])
@@ -327,21 +353,23 @@ def test_zero_pi_is_non_ergodic_before_any_division(lazy):
     assert not sg.enumerate_state_space(model).pi.all()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(NonErgodicError, match="pi vanishes"):
+            spectral.random_update_symmetric(model, sg.enumerate_state_space(model), lazy)
         for verify in (sg.verify_theorem1, sg.verify_mixing_bounds):
-            with pytest.raises(NonErgodicError):
+            with pytest.raises(NonErgodicError, match="pi vanishes"):
                 verify(model, lazy=lazy)
 
 
 def test_each_verifier_forms_one_symmetric_form(asymmetric_rbm, monkeypatch, tmp_path):
     calls = []
-    symmetric_form = spectral.symmetric_form
+    random_update_symmetric = spectral.random_update_symmetric
 
     def counting(*args):
         calls.append(args)
-        return symmetric_form(*args)
+        return random_update_symmetric(*args)
 
-    monkeypatch.setattr(spectral, "symmetric_form", counting)
-    monkeypatch.setattr(mixing, "symmetric_form", counting)
+    monkeypatch.setattr(spectral, "random_update_symmetric", counting)
+    monkeypatch.setattr(mixing, "random_update_symmetric", counting)
     sg.verify_theorem1(asymmetric_rbm)
     assert len(calls) == 1
     sg.verify_mixing_bounds(asymmetric_rbm)
