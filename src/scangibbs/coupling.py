@@ -24,6 +24,11 @@ SAMPLER_ALTERNATING_SCAN = "alternating_scan"
 
 _RNG_BLOCK = 4096
 
+# Relative widening of the bounds of `_bounds`. A computed conditional
+# strays from the exact one by a few units of 2^-53 (exp errs by at most
+# 1 ulp); the README ("How the grand coupling updates") derives 2^-40.
+_BOUND_MARGIN = 2.0 ** -40
+
 
 class MonotonicityError(ModelError):
     pass
@@ -70,13 +75,33 @@ def monotonicity_precondition(model: BipartiteModel) -> None:
 
 def _neighbors(model: BipartiteModel) -> tuple:
     """Per-site (neighbor, weight) tuples in edge order, so a site's field
-    sums its weights in the same order on every call."""
+    sums its weights in the same order on every call, and each site's
+    total weight fmax, summed in that same order."""
     neighbors = [[] for _ in range(model.n)]
+    fmax = [0.0] * model.n
     u, v, w = model.edge_u, model.edge_v, model.tables[:, 1, 1]
     for a, b, weight in zip(u.tolist(), v.tolist(), w.tolist()):
         neighbors[a].append((b, weight))
         neighbors[b].append((a, weight))
-    return tuple(tuple(lst) for lst in neighbors)
+        fmax[a] += weight
+        fmax[b] += weight
+    return tuple(tuple(lst) for lst in neighbors), fmax
+
+
+def _bounds(bias: list, fmax: list) -> tuple:
+    """Arrays lo, hi with lo[x] <= P(x = 1 | field) <= hi[x] for every field
+    `_site_update` can sum at site x.
+
+    Weights are nonnegative, so such a field lies in [0, fmax[x]], and the
+    conditional, monotone in the field, lies between its values at the two
+    ends, up to the rounding that `_BOUND_MARGIN` covers.
+    """
+    lo, hi = [], []
+    for b, f in zip(bias, fmax):
+        ends = (1.0 / (1.0 + exp(-b)), 1.0 / (1.0 + exp(-(b + f))))
+        lo.append(min(ends) * (1.0 - _BOUND_MARGIN))
+        hi.append(max(ends) * (1.0 + _BOUND_MARGIN))
+    return np.array(lo), np.array(hi)
 
 
 def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
@@ -124,7 +149,8 @@ def grand_coupling_time(
 
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     if sampler == SAMPLER_RANDOM_UPDATE:
-        run, view = _run_random_update, (bias.tolist(), _neighbors(model))
+        bias, (nbrs, fmax) = bias.tolist(), _neighbors(model)
+        run, view = _run_random_update, (bias, nbrs, *_bounds(bias, fmax))
     else:
         # Row v of the CSR transpose lists its entries by ascending
         # first-partition index, so a second-partition field sums in that order.
@@ -189,14 +215,15 @@ def _site_update(bias, nbrs, top, bottom, x, u) -> int:
 
 
 def _draws(rng, n: int, size: int, lazy: bool):
-    """(site, uniform, hold) for `size` updates, drawn in stream order."""
-    sites = rng.integers(0, n, size=size).tolist()
-    uniforms = rng.random(size).tolist()
-    holds = (rng.random(size) < 0.5).tolist() if lazy else [False] * size
-    return zip(sites, uniforms, holds)
+    """Sites, uniforms and holds (all False unless lazy) for `size`
+    updates, as arrays drawn in stream order."""
+    sites = rng.integers(0, n, size=size)
+    uniforms = rng.random(size)
+    holds = rng.random(size) < 0.5 if lazy else np.zeros(size, dtype=bool)
+    return sites, uniforms, holds
 
 
-def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
+def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy, top0, bot0):
     n = len(bias)
     top = top0.tolist()
     bottom = bot0.tolist()
@@ -204,17 +231,29 @@ def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
     updates = 0
     while disagreements and updates < max_updates:
         block = min(_RNG_BLOCK, max_updates - updates)
-        for x, u, hold in _draws(rng, n, block, lazy):
-            updates += 1
-            if hold:
-                continue
-            disagreements += _site_update(bias, nbrs, top, bottom, x, u)
+        sites, uniforms, holds = _draws(rng, n, block, lazy)
+        moves = np.flatnonzero(~holds)
+        sites, uniforms = sites[moves], uniforms[moves]
+        # 1 or 0 where the site's bounds decide the draw for both chains,
+        # -1 where the uniform falls between them.
+        codes = np.where(uniforms < lo[sites], 1, np.where(uniforms >= hi[sites], 0, -1))
+        for k, (x, u, code) in enumerate(zip(sites.tolist(), uniforms.tolist(),
+                                             codes.tolist())):
+            if code < 0:
+                disagreements += _site_update(bias, nbrs, top, bottom, x, u)
+            else:
+                disagreements -= top[x] != bottom[x]
+                top[x] = bottom[x] = code
             if not disagreements:
+                updates += int(moves[k]) + 1
                 break
+        else:
+            updates += block
     if disagreements:
         return None
-    # Coalesced chains must stay identical; spot-check one epoch length.
-    for x, u, hold in _draws(rng, n, n, lazy):
+    # Coalesced chains must stay identical; spot-check one epoch length
+    # with the full update, whatever the bounds say.
+    for x, u, hold in zip(*(a.tolist() for a in _draws(rng, n, n, lazy))):
         if not hold and _site_update(bias, nbrs, top, bottom, x, u):
             raise CouplingInvariantError("coalesced chains separated")
     return updates

@@ -8,8 +8,9 @@ scan kernels, the single-site kernels from a fiber lookup of their own,
 summed one after another, the lazy kernel and the symmetric form
 D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
 operator norm, the fill check on a dense kernel, the exact rational
-random-update kernel, the hardcore lumping maps and the TV distance of
-two distributions.
+random-update kernel, the hardcore lumping maps, the TV distance of
+two distributions and the random-update grand coupling with every
+update through the full site update.
 """
 
 from fractions import Fraction
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from scangibbs import chain, mixing
+from scangibbs import chain, coupling, mixing
 from scangibbs.chain import (
     UNIT_COMPOSITE,
     UNIT_EPOCH,
@@ -27,6 +28,7 @@ from scangibbs.chain import (
     StateSpace,
     make_kernel,
 )
+from scangibbs.coupling import _RNG_BLOCK, CouplingInvariantError, _site_update
 from scangibbs.lumped import LumpingError
 from scangibbs.mixing import DEFAULT_THRESHOLD, MixingError
 from scangibbs.model import (
@@ -34,6 +36,7 @@ from scangibbs.model import (
     BipartiteModel,
     HamiltonianRangeError,
     ModelError,
+    philox_key,
     validate_bipartite,
 )
 from scangibbs.spectral import (
@@ -419,3 +422,57 @@ def tv_distance(mu, nu) -> float:
         if abs(v.sum() - 1.0) > 1e-9:
             raise MixingError(f"{name} is not normalized: sum {v.sum()}")
     return 0.5 * float(np.abs(mu - nu).sum())
+
+
+def _draws(rng, n: int, size: int, lazy: bool):
+    """(site, uniform, hold) for `size` updates, drawn in stream order."""
+    sites = rng.integers(0, n, size=size).tolist()
+    uniforms = rng.random(size).tolist()
+    holds = (rng.random(size) < 0.5).tolist() if lazy else [False] * size
+    return zip(sites, uniforms, holds)
+
+
+def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
+    n = len(bias)
+    top = top0.tolist()
+    bottom = bot0.tolist()
+    disagreements = int(np.sum(top0 != bot0))
+    updates = 0
+    while disagreements and updates < max_updates:
+        block = min(_RNG_BLOCK, max_updates - updates)
+        for x, u, hold in _draws(rng, n, block, lazy):
+            updates += 1
+            if hold:
+                continue
+            disagreements += _site_update(bias, nbrs, top, bottom, x, u)
+            if not disagreements:
+                break
+    if disagreements:
+        return None
+    # Coalesced chains must stay identical; spot-check one epoch length.
+    for x, u, hold in _draws(rng, n, n, lazy):
+        if not hold and _site_update(bias, nbrs, top, bottom, x, u):
+            raise CouplingInvariantError("coalesced chains separated")
+    return updates
+
+
+def random_update_coupling(model: BipartiteModel, seed: int, replicates: int,
+                           max_updates: int, lazy: bool, start_top=None,
+                           start_bottom=None) -> tuple:
+    """(samples, streams) of `grand_coupling_time` for the random update,
+    with every update, decided by the site's bounds or not, summing both
+    chains' fields in `coupling._site_update`."""
+    key = philox_key(seed)
+    top0 = np.ones(model.n, dtype=np.int8) if start_top is None else np.asarray(start_top, np.int8)
+    bot0 = (np.zeros(model.n, dtype=np.int8) if start_bottom is None
+            else np.asarray(start_bottom, np.int8))
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float).tolist()
+    nbrs, _ = coupling._neighbors(model)
+    times = [
+        _run_random_update(bias, nbrs,
+                           np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
+                           max_updates, lazy, top0, bot0)
+        for rep in range(replicates)
+    ]
+    done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
+    return tuple(time for time, _ in done), tuple(rep for _, rep in done)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from scangibbs.coupling import (
 )
 from scangibbs.model import ModelError
 
-from oracles import model_from_edges
+from oracles import model_from_edges, random_update_coupling
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +284,109 @@ def test_seed_must_fit_a_philox_key(six_vars, sampler):
             grand_coupling_time(six_vars, sampler, seed, 2, 1000)
     report = grand_coupling_time(six_vars, sampler, 2 ** 64 - 1, 2, 10 ** 6)
     assert report.truncated_count == 0
+
+
+@pytest.fixture(scope="module")
+def mixed_unaries():
+    # Unaries of both signs and site 10 on no edge; weights include 0.
+    rng = np.random.default_rng(5)
+    table = lambda w: np.array([[0.0, 0.0], [0.0, w]])
+    edges = [(a, b, table(w)) for a, b, w in
+             zip(rng.integers(0, 6, 14), rng.integers(6, 10, 14), rng.uniform(0.0, 0.8, 14))]
+    edges.append((0, 6, table(0.0)))
+    unaries = np.column_stack([np.zeros(11), rng.uniform(-1.5, 1.5, 11)])
+    return model_from_edges(6, 5, 2, edges, unaries)
+
+
+@pytest.fixture(scope="module")
+def two_block_ferro():
+    # Lazy coalescence takes more than one block of draws.
+    return sg.random_bipartite_model(150, 150, 600, 0.0, 0.4, seed=2)
+
+
+# The caps of 450, 40 and 5000 truncate some replicates but not all (the
+# last only when lazy, in the second block of draws).
+@pytest.mark.parametrize("model, max_updates", [
+    ("ferro", 200000), ("ferro", 450), ("random_order_ferro", 400000),
+    ("mixed_unaries", 100000), ("mixed_unaries", 40), ("two_block_ferro", 100000),
+    ("two_block_ferro", 5000),
+])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_random_update_matches_full_update_reference(request, model, max_updates, lazy):
+    # The reference sends every update through `_site_update`; updates the
+    # bounds decide must leave every sample and its stream unchanged,
+    # including under caps that truncate some replicates.
+    model = request.getfixturevalue(model)
+    report = grand_coupling_time(model, SAMPLER_RANDOM_UPDATE, 11, 12, max_updates, lazy=lazy)
+    assert (report.samples, report.streams) == random_update_coupling(
+        model, 11, 12, max_updates, lazy)
+
+
+def test_random_update_matches_reference_from_given_starts(mixed_unaries):
+    rng = np.random.default_rng(8)
+    bottom = (rng.random(mixed_unaries.n) < 0.3).astype(int)
+    top = np.maximum(bottom, rng.random(mixed_unaries.n) < 0.6)
+    report = grand_coupling_time(mixed_unaries, SAMPLER_RANDOM_UPDATE, 4, 12, 100000,
+                                 start_top=top, start_bottom=bottom)
+    assert report.truncated_count == 0
+    assert (report.samples, report.streams) == random_update_coupling(
+        mixed_unaries, 4, 12, 100000, False, top, bottom)
+
+
+@pytest.fixture(scope="module")
+def star():
+    # One site of degree 12 whose weights span 17 orders of magnitude, so
+    # the sums of its subsets round differently from their exact values.
+    weights = np.array([1.0, 1e-17, 0.3, 2e-9, 0.7, 1e-16, 0.1, 3e-17, 1.3, 1e-12, 0.05, 2e-16])
+    return sg.build_rbm(weights[:, None], np.linspace(-2.0, 2.0, 12), np.array([-3.5]))
+
+
+@pytest.mark.parametrize("model", ["six_vars", "mixed_unaries", "star", "ferro"])
+def test_bounds_contain_every_reachable_conditional(request, model):
+    # Every subset of a site's neighbors can be the set at 1; its field is
+    # summed in edge order, as `_site_update` sums it.
+    model = request.getfixturevalue(model)
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).tolist()
+    nbrs, fmax = coupling._neighbors(model)
+    lo, hi = coupling._bounds(bias, fmax)
+    for x, site_nbrs in enumerate(nbrs):
+        assert len(site_nbrs) <= 12
+        for ones in itertools.product((False, True), repeat=len(site_nbrs)):
+            field = 0.0
+            for (_, w), one in zip(site_nbrs, ones):
+                if one:
+                    field += w
+            p = 1.0 / (1.0 + math.exp(-(bias[x] + field)))
+            assert lo[x] <= p <= hi[x], (x, ones)
+
+
+def test_bounds_decide_most_updates(monkeypatch):
+    """Criterion 9's model: only updates whose uniform falls between the
+    site's bounds reach `_site_update` before the chains meet.
+
+    Sites and uniforms are drawn uniformly and independently of the
+    chains, so an update is undecided with probability mean(hi - lo),
+    measured as 0.120 on this model. Ten replicates make about 180,000
+    coalescence updates, so the undecided share has a binomial standard
+    deviation below 0.001; a bound of 0.15 sits 30 of them above 0.120,
+    and with the bounds disabled every update would count.
+    """
+    model = sg.random_bipartite_model(1000, 1000, 5000, 0.0, 0.2, seed=424242)
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).tolist()
+    lo, hi = coupling._bounds(bias, coupling._neighbors(model)[1])
+    assert float(np.mean(hi - lo)) == pytest.approx(0.120, abs=0.001)
+    calls = 0
+    real_update = coupling._site_update
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real_update(*args)
+
+    monkeypatch.setattr(coupling, "_site_update", counted)
+    report = grand_coupling_time(model, SAMPLER_RANDOM_UPDATE, 1, 10, 10 ** 7)
+    assert report.truncated_count == 0
+    updates = sum(report.samples)
+    # The permanence epoch of each replicate sends all n updates through.
+    coalescence_calls = calls - report.replicates * model.n
+    assert 0 < coalescence_calls < 0.15 * updates
