@@ -24,7 +24,11 @@ SAMPLER_ALTERNATING_SCAN = "alternating_scan"
 
 _RNG_BLOCK = 4096
 
-# Relative widening of the bounds of `_bounds`. A computed conditional
+# Chain entries per block of scan replicates: a block of B = 2^15 // n
+# replicates keeps each (n, B) float array near 256 KB, in cache.
+_SCAN_BLOCK_ELEMENTS = 2 ** 15
+
+# Relative widening of the bounds of `_widened`. A computed conditional
 # strays from the exact one by a few units of 2^-53 (exp errs by at most
 # 1 ulp); the README ("How the grand coupling updates") derives 2^-40.
 _BOUND_MARGIN = 2.0 ** -40
@@ -88,6 +92,22 @@ def _neighbors(model: BipartiteModel) -> tuple:
     return tuple(tuple(lst) for lst in neighbors), fmax
 
 
+def _logistic(z: float) -> float:
+    """1/(1 + exp(-z)), and 0 where exp(-z) overflows, as `expit` gives."""
+    try:
+        return 1.0 / (1.0 + exp(-z))
+    except OverflowError:
+        return 0.0
+
+
+def _widened(at_zero, at_fmax) -> tuple:
+    """Arrays lo, hi around a site's conditional at the two ends of its
+    field's range, widened by `_BOUND_MARGIN`."""
+    lo = np.minimum(at_zero, at_fmax) * (1.0 - _BOUND_MARGIN)
+    hi = np.maximum(at_zero, at_fmax) * (1.0 + _BOUND_MARGIN)
+    return lo, hi
+
+
 def _bounds(bias: list, fmax: list) -> tuple:
     """Arrays lo, hi with lo[x] <= P(x = 1 | field) <= hi[x] for every field
     `_site_update` can sum at site x.
@@ -96,12 +116,35 @@ def _bounds(bias: list, fmax: list) -> tuple:
     conditional, monotone in the field, lies between its values at the two
     ends, up to the rounding that `_BOUND_MARGIN` covers.
     """
-    lo, hi = [], []
-    for b, f in zip(bias, fmax):
-        ends = (1.0 / (1.0 + exp(-b)), 1.0 / (1.0 + exp(-(b + f))))
-        lo.append(min(ends) * (1.0 - _BOUND_MARGIN))
-        hi.append(max(ends) * (1.0 + _BOUND_MARGIN))
-    return np.array(lo), np.array(hi)
+    return _widened([_logistic(b) for b in bias],
+                    [_logistic(b + f) for b, f in zip(bias, fmax)])
+
+
+def _scan_halves(model: BipartiteModel, bias: np.ndarray) -> tuple:
+    """The two half scans, each as (its own slice of a chain, the other
+    half's slice, its weights, its biases, lo, hi).
+
+    The weights are `cross` and its CSR transpose, whose rows list their
+    entries by ascending first-partition index. lo and hi bound each
+    site's conditional as `_bounds` does, with fmax summed in the order
+    its field sums in, and the ends from `expit`, as the scan decides.
+    """
+    n1, n = model.n1, model.n
+    cross = sp.csr_array(
+        (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),
+        shape=(n1, model.n2),
+    )
+    halves = []
+    for own, other, weights in ((slice(0, n1), slice(n1, n), cross),
+                                (slice(n1, n), slice(0, n1), cross.T.tocsr())):
+        b = bias[own]
+        fmax = weights @ np.ones(weights.shape[1])
+        halves.append((own, other, weights, b, *_widened(expit(b), expit(b + fmax))))
+    return tuple(halves)
+
+
+def _stream(key, rep: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)]))
 
 
 def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
@@ -141,7 +184,7 @@ def grand_coupling_time(
     if max_updates < 0:
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     key = philox_key(seed)
-    n, n1 = model.n, model.n1
+    n = model.n
     top0 = _start_vector(start_top, 1, n, "start_top")
     bot0 = _start_vector(start_bottom, 0, n, "start_bottom")
     if np.any(top0 < bot0):
@@ -150,22 +193,12 @@ def grand_coupling_time(
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     if sampler == SAMPLER_RANDOM_UPDATE:
         bias, (nbrs, fmax) = bias.tolist(), _neighbors(model)
-        run, view = _run_random_update, (bias, nbrs, *_bounds(bias, fmax))
+        view = (bias, nbrs, *_bounds(bias, fmax))
+        times = [_run_random_update(*view, _stream(key, rep), max_updates, lazy, top0, bot0)
+                 for rep in range(replicates)]
     else:
-        # Row v of the CSR transpose lists its entries by ascending
-        # first-partition index, so a second-partition field sums in that order.
-        cross = sp.csr_array(
-            (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),
-            shape=(n1, model.n2),
-        )
-        first, second = slice(0, n1), slice(n1, n)
-        halves = ((first, second, cross), (second, first, cross.T.tocsr()))
-        run, view = _run_alternating_scan, (bias, halves)
-    times = [
-        run(*view, np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
-            max_updates, lazy, top0, bot0)
-        for rep in range(replicates)
-    ]
+        times = _run_alternating_scan(_scan_halves(model, bias), key, replicates,
+                                      max_updates, lazy, top0, bot0)
     done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
     samples = tuple(time for time, _ in done)
     truncated = replicates - len(samples)
@@ -201,11 +234,11 @@ def _site_update(bias, nbrs, top, bottom, x, u) -> int:
         if bottom[j]:
             field_bot += w
     b = bias[x]
-    new_top = 1 if u < 1.0 / (1.0 + exp(-(b + field_top))) else 0
+    new_top = 1 if u < _logistic(b + field_top) else 0
     if field_bot == field_top:
         new_bot = new_top
     else:
-        new_bot = 1 if u < 1.0 / (1.0 + exp(-(b + field_bot))) else 0
+        new_bot = 1 if u < _logistic(b + field_bot) else 0
         if new_bot > new_top:
             raise CouplingInvariantError("sandwich violated at a site update")
     delta = (new_top != new_bot) - (top[x] != bottom[x])
@@ -259,41 +292,92 @@ def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy, top0, bot0):
     return updates
 
 
-def _run_alternating_scan(bias, halves, rng, max_updates, lazy, top0, bot0):
-    # A half's sites are mutually independent given the other half, so
-    # each half scan vectorizes; the per-site shared uniforms are drawn
-    # in scan order.
-    n = len(bias)
-    top, bottom = top0.astype(float), bot0.astype(float)
+def _scan_update(b, weights, top, bottom, u, where) -> tuple:
+    """Draws of both chains at the flat positions `where` of one half's
+    (n_own, B) block, from both chains' fields and `expit`.
 
-    def epoch():
-        for own, other, weights in halves:
-            b = bias[own]
-            u = rng.random(b.shape[0])
-            if lazy:
-                hold = rng.random(b.shape[0]) < 0.5
-            field_top = b + weights @ top[other]
-            field_bot = b + weights @ bottom[other]
-            new_top = (u < expit(field_top)).astype(float)
-            # Equal fields give equal draws; the bottom chain needs its own
-            # conditional only where its field differs from the top chain's.
-            new_bot = new_top.copy()
-            differ = np.flatnonzero(field_top != field_bot)
-            new_bot[differ] = u[differ] < expit(field_bot[differ])
-            if np.any(new_bot > new_top):
-                raise CouplingInvariantError("sandwich violated during a scan")
-            if lazy:
-                new_top[hold], new_bot[hold] = top[own][hold], bottom[own][hold]
-            top[own], bottom[own] = new_top, new_bot
+    `top` and `bottom` are the other half's (n_other, B) slices, and u
+    the half's uniforms.
+    """
+    b = b.take(where // top.shape[1])
+    field_top = b + (weights @ top).take(where)
+    field_bot = b + (weights @ bottom).take(where)
+    u = u.take(where)
+    new_top = u < expit(field_top)
+    # Equal fields give equal draws; the bottom chain needs its own
+    # conditional only where its field differs from the top chain's.
+    new_bot = new_top.copy()
+    differ = np.flatnonzero(field_top != field_bot)
+    new_bot[differ] = u[differ] < expit(field_bot[differ])
+    if np.any(new_bot > new_top):
+        raise CouplingInvariantError("sandwich violated during a scan")
+    return new_top, new_bot
 
-    updates = 0
-    while not np.array_equal(top, bottom):
-        if updates + n > max_updates:
-            return None
-        epoch()
-        updates += n
-    # Coalesced chains must stay identical; check one more epoch.
-    epoch()
-    if not np.array_equal(top, bottom):
-        raise CouplingInvariantError("coalesced chains separated")
-    return updates
+
+def _scan_epoch(halves, draws, lazy, top, bottom, checking) -> None:
+    """One epoch of a block of replicates, in place on the (n, B) chains.
+
+    Column c of `draws` is replicate c's epoch draw in stream order: a
+    half's uniforms, then its holds when lazy, first half first. A
+    uniform below the site's lo sets it to 1 in both chains, one at or
+    above its hi to 0; `_scan_update` draws the rest and every moving
+    site of the replicates `checking` marks.
+    """
+    start = 0
+    for own, other, weights, b, lo, hi in halves:
+        u = draws[start:start + b.size]
+        start += b.size
+        ones = u < lo[:, None]
+        undecided = (u < hi[:, None]) ^ ones
+        if checking.any():
+            undecided |= checking
+        moves = True
+        if lazy:
+            moves = draws[start:start + b.size] >= 0.5
+            start += b.size
+            undecided &= moves
+        where = np.flatnonzero(undecided)
+        new = _scan_update(b, weights, top[other], bottom[other], u, where)
+        for chain, drawn in zip((top[own], bottom[own]), new):
+            np.copyto(chain, ones, where=moves)
+            chain.put(where, drawn)
+
+
+def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0) -> list:
+    """Coalescence time of each replicate, or None where truncated.
+
+    Replicates run in blocks of B, each chain an (n, B) array, so a half
+    scan makes one sparse product per chain for the whole block. A
+    replicate whose chains are equal at an epoch boundary runs one more
+    epoch with every moving site through `_scan_update` and must stay equal;
+    one still apart leaves when its next epoch would pass the cap.
+    """
+    n = top0.size
+    width = max(1, _SCAN_BLOCK_ELEMENTS // n)
+    draws = np.empty((width, 2 * n if lazy else n))
+    times = [None] * replicates
+    for first in range(0, replicates, width):
+        reps = np.arange(first, min(first + width, replicates))
+        rngs = [_stream(key, rep) for rep in reps]
+        top = np.repeat(top0[:, None].astype(float), reps.size, axis=1)
+        bottom = np.repeat(bot0[:, None].astype(float), reps.size, axis=1)
+        checking = np.zeros(reps.size, dtype=bool)
+        updates = 0
+        while True:
+            met = (top == bottom).all(axis=0)
+            if not met[checking].all():
+                raise CouplingInvariantError("coalesced chains separated")
+            for rep in reps[met & ~checking].tolist():
+                times[rep] = updates
+            stay = ~checking & (met | (updates + n <= max_updates))
+            checking = met[stay]
+            if not stay.all():
+                reps, top, bottom = reps[stay], top[:, stay], bottom[:, stay]
+                rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+                if not reps.size:
+                    break
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            _scan_epoch(halves, draws[:reps.size].T.copy(), lazy, top, bottom, checking)
+            updates += n
+    return times

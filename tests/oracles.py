@@ -9,14 +9,17 @@ summed one after another, the lazy kernel and the symmetric form
 D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
 operator norm, the fill check on a dense kernel, the exact rational
 random-update kernel, the hardcore lumping maps, the TV distance of
-two distributions and the random-update grand coupling with every
-update through the full site update.
+two distributions, the random-update grand coupling with every
+update through the full site update, and the alternating-scan grand
+coupling run one replicate at a time with every site through the full
+half-scan step.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.special import expit
 
 from scangibbs import chain, coupling, mixing
 from scangibbs.chain import (
@@ -472,6 +475,74 @@ def random_update_coupling(model: BipartiteModel, seed: int, replicates: int,
         _run_random_update(bias, nbrs,
                            np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
                            max_updates, lazy, top0, bot0)
+        for rep in range(replicates)
+    ]
+    done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
+    return tuple(time for time, _ in done), tuple(rep for _, rep in done)
+
+
+def _run_alternating_scan(bias, halves, rng, max_updates, lazy, top0, bot0):
+    # A half's sites are mutually independent given the other half, so
+    # each half scan vectorizes; the per-site shared uniforms are drawn
+    # in scan order.
+    n = len(bias)
+    top, bottom = top0.astype(float), bot0.astype(float)
+
+    def epoch():
+        for own, other, weights in halves:
+            b = bias[own]
+            u = rng.random(b.shape[0])
+            if lazy:
+                hold = rng.random(b.shape[0]) < 0.5
+            field_top = b + weights @ top[other]
+            field_bot = b + weights @ bottom[other]
+            new_top = (u < expit(field_top)).astype(float)
+            # Equal fields give equal draws; the bottom chain needs its own
+            # conditional only where its field differs from the top chain's.
+            new_bot = new_top.copy()
+            differ = np.flatnonzero(field_top != field_bot)
+            new_bot[differ] = u[differ] < expit(field_bot[differ])
+            if np.any(new_bot > new_top):
+                raise CouplingInvariantError("sandwich violated during a scan")
+            if lazy:
+                new_top[hold], new_bot[hold] = top[own][hold], bottom[own][hold]
+            top[own], bottom[own] = new_top, new_bot
+
+    updates = 0
+    while not np.array_equal(top, bottom):
+        if updates + n > max_updates:
+            return None
+        epoch()
+        updates += n
+    # Coalesced chains must stay identical; check one more epoch.
+    epoch()
+    if not np.array_equal(top, bottom):
+        raise CouplingInvariantError("coalesced chains separated")
+    return updates
+
+
+def alternating_scan_coupling(model: BipartiteModel, seed: int, replicates: int,
+                              max_updates: int, lazy: bool, start_top=None,
+                              start_bottom=None) -> tuple:
+    """(samples, streams) of `grand_coupling_time` for the alternating scan,
+    run one replicate at a time, each half scan forming both chains'
+    fields and conditionals at every site."""
+    key = philox_key(seed)
+    n1, n = model.n1, model.n
+    top0 = np.ones(n, dtype=np.int8) if start_top is None else np.asarray(start_top, np.int8)
+    bot0 = (np.zeros(n, dtype=np.int8) if start_bottom is None
+            else np.asarray(start_bottom, np.int8))
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+    cross = sp.csr_array(
+        (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),
+        shape=(n1, model.n2),
+    )
+    first, second = slice(0, n1), slice(n1, n)
+    halves = ((first, second, cross), (second, first, cross.T.tocsr()))
+    times = [
+        _run_alternating_scan(bias, halves,
+                              np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
+                              max_updates, lazy, top0, bot0)
         for rep in range(replicates)
     ]
     done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)

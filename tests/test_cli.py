@@ -475,6 +475,23 @@ def test_scan_spectrum_survives_an_underflowed_product_of_marginals(tmp_path, ca
     assert t_rel == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("sampler", ["random_update", "alternating_scan"])
+def test_coupling_survives_a_bias_whose_exp_overflows(tmp_path, capsys, sampler):
+    # exp(800) overflows; the conditional of the first site is then 0, as
+    # expit gives it, so its chains meet at once
+    model_file = tmp_path / "rbm.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[0.0]], "bias1": [-800.0], "bias2": [0.0]}))
+    argv = ["coupling", "--samplers", sampler, "--model-file", str(model_file),
+            "--seed", "1", "--out", str(tmp_path / "out")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = read_csv(tmp_path / "out" / "coupling_summary.csv")
+    assert {r["metric"]: r["value"] for r in rows}["truncated_count"] == "0"
+
+
 def test_scan_with_an_empty_column_is_not_ergodic_without_a_warning(tmp_path, capsys):
     # every x1 has pi = 0 beside x2 = 1, so J has a zero column
     model_file = tmp_path / "rbm.json"

@@ -16,7 +16,7 @@ from scangibbs.coupling import (
 )
 from scangibbs.model import ModelError
 
-from oracles import model_from_edges, random_update_coupling
+from oracles import alternating_scan_coupling, model_from_edges, random_update_coupling
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,23 @@ def test_post_coalescence_check_detects_separation(ferro, monkeypatch):
         grand_coupling_time(ferro, SAMPLER_RANDOM_UPDATE, 11, 1, 200000)
 
 
+def test_scan_post_coalescence_check_detects_separation(ferro, monkeypatch):
+    # With one replicate, only the check epoch sends every site of a half
+    # through `_scan_update`; there the split sets a site to 1 in the top
+    # chain and to 0 in the bottom one.
+    real_update = coupling._scan_update
+
+    def split_in_check_epoch(b, weights, top, bottom, u, where):
+        new_top, new_bot = real_update(b, weights, top, bottom, u, where)
+        if where.size == u.size:
+            new_top[0], new_bot[0] = True, False
+        return new_top, new_bot
+
+    monkeypatch.setattr(coupling, "_scan_update", split_in_check_epoch)
+    with pytest.raises(coupling.CouplingInvariantError, match="coalesced chains separated"):
+        grand_coupling_time(ferro, SAMPLER_ALTERNATING_SCAN, 11, 1, 200000)
+
+
 @pytest.fixture(scope="module")
 def six_vars():
     return sg.random_bipartite_model(3, 3, 6, 0.0, 0.3, seed=1)
@@ -341,6 +358,15 @@ def star():
     return sg.build_rbm(weights[:, None], np.linspace(-2.0, 2.0, 12), np.array([-3.5]))
 
 
+def test_logistic_is_zero_where_exp_overflows():
+    # exp(-z) overflows below z = -709.78; the conditional is then 0, as
+    # expit gives it, and elsewhere it is the plain 1/(1 + exp(-z)).
+    for z in (-800.0, -709.8, -1e308, -math.inf):
+        assert coupling._logistic(z) == expit(z) == 0.0
+    for z in (-709.78, -700.0, -30.0, -1.5, 0.0, 0.7, 40.0, 800.0, math.inf):
+        assert coupling._logistic(z) == 1.0 / (1.0 + math.exp(-z))
+
+
 @pytest.mark.parametrize("model", ["six_vars", "mixed_unaries", "star", "ferro"])
 def test_bounds_contain_every_reachable_conditional(request, model):
     # Every subset of a site's neighbors can be the set at 1; its field is
@@ -390,3 +416,112 @@ def test_bounds_decide_most_updates(monkeypatch):
     # The permanence epoch of each replicate sends all n updates through.
     coalescence_calls = calls - report.replicates * model.n
     assert 0 < coalescence_calls < 0.15 * updates
+
+
+# A cap of 0 or 5 truncates every replicate whose starts differ; 120, 850,
+# 30, 7 and 20 truncate some replicates of a block but not others (850 and
+# 20 only when lazy, 120, 30 and 7 only when not). Under 120, ten of the
+# twelve ferro replicates meet exactly at the cap.
+@pytest.mark.parametrize("model, max_updates", [
+    ("ferro", 200000), ("ferro", 120), ("random_order_ferro", 400000),
+    ("random_order_ferro", 850), ("mixed_unaries", 100000), ("mixed_unaries", 30),
+    ("six_vars", 0), ("six_vars", 5), ("six_vars", 7), ("six_vars", 20),
+])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_scan_matches_one_replicate_reference(request, model, max_updates, lazy):
+    # The reference runs each replicate alone and forms both fields and
+    # conditionals at every site; blocks of replicates and the draws the
+    # bounds decide must leave every sample and its stream unchanged.
+    model = request.getfixturevalue(model)
+    report = grand_coupling_time(model, SAMPLER_ALTERNATING_SCAN, 11, 12, max_updates,
+                                 lazy=lazy)
+    assert (report.samples, report.streams) == alternating_scan_coupling(
+        model, 11, 12, max_updates, lazy)
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_scan_matches_reference_from_given_starts(mixed_unaries, lazy):
+    rng = np.random.default_rng(8)
+    bottom = (rng.random(mixed_unaries.n) < 0.3).astype(int)
+    top = np.maximum(bottom, rng.random(mixed_unaries.n) < 0.6)
+    report = grand_coupling_time(mixed_unaries, SAMPLER_ALTERNATING_SCAN, 4, 12, 100000,
+                                 lazy=lazy, start_top=top, start_bottom=bottom)
+    assert report.truncated_count == 0
+    assert (report.samples, report.streams) == alternating_scan_coupling(
+        mixed_unaries, 4, 12, 100000, lazy, top, bottom)
+
+
+# On random_order_ferro (90 sites), 10 replicates run in blocks of 1 (a
+# budget below n), of 3 with a last block of 1, and of 4 with a last of 2.
+@pytest.mark.parametrize("elements", [1, 270, 360])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_scan_blocks_match_reference(random_order_ferro, monkeypatch, elements, lazy):
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", elements)
+    widths = []
+    real_epoch = coupling._scan_epoch
+
+    def recorded(halves, draws, *args):
+        widths.append(draws.shape[1])
+        return real_epoch(halves, draws, *args)
+
+    monkeypatch.setattr(coupling, "_scan_epoch", recorded)
+    for max_updates in (400000, 850):
+        report = grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10,
+                                     max_updates, lazy=lazy)
+        assert (report.samples, report.streams) == alternating_scan_coupling(
+            random_order_ferro, 11, 10, max_updates, lazy)
+    assert max(widths) == max(1, elements // random_order_ferro.n)
+
+
+@pytest.mark.parametrize("model", ["six_vars", "mixed_unaries", "star", "ferro"])
+def test_scan_bounds_contain_every_reachable_conditional(request, model):
+    # Every subset of a site's row can be the set at 1 in the other half;
+    # its field is summed in the row's CSR order, as the sparse product
+    # sums it, and the scan decides with `expit`.
+    model = request.getfixturevalue(model)
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+    for _, _, weights, b, lo, hi in coupling._scan_halves(model, bias):
+        for i in range(b.size):
+            row = weights.data[weights.indptr[i]:weights.indptr[i + 1]].tolist()
+            assert len(row) <= 12
+            for ones in itertools.product((False, True), repeat=len(row)):
+                field = 0.0
+                for w, one in zip(row, ones):
+                    if one:
+                        field += w
+                p = expit(b[i] + field)
+                assert lo[i] <= p <= hi[i], (i, ones)
+
+
+def test_scan_bounds_decide_most_draws(monkeypatch):
+    """Criterion 9's model: before the chains meet, only draws whose
+    uniform falls between the site's bounds reach `_scan_update`.
+
+    Uniforms are drawn independently of the chains, so each draw is
+    undecided with probability hi - lo of its site, and an epoch of one
+    replicate sends n * mean(hi - lo) draws through on average, with
+    mean(hi - lo) measured as 0.120 on this model. 50 replicates make
+    about 300,000 coalescence updates, so the undecided share has a
+    binomial standard deviation below 0.001; a bound of 0.15 sits 30 of
+    them above 0.120, and with the bounds disabled every draw would count.
+    """
+    model = sg.random_bipartite_model(1000, 1000, 5000, 0.0, 0.2, seed=424242)
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
+    halves = coupling._scan_halves(model, bias)
+    spread = np.concatenate([hi - lo for *_, lo, hi in halves])
+    assert float(np.mean(spread)) == pytest.approx(0.120, abs=0.001)
+    draws = 0
+    real_update = coupling._scan_update
+
+    def counted(b, weights, top, bottom, u, where):
+        nonlocal draws
+        draws += where.size
+        return real_update(b, weights, top, bottom, u, where)
+
+    monkeypatch.setattr(coupling, "_scan_update", counted)
+    report = grand_coupling_time(model, SAMPLER_ALTERNATING_SCAN, 1, 50, 10 ** 7)
+    assert report.truncated_count == 0
+    updates = sum(report.samples)
+    # The check epoch of each replicate sends all n sites through.
+    coalescence_draws = draws - report.replicates * model.n
+    assert 0 < coalescence_draws < 0.15 * updates
