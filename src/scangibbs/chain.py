@@ -13,7 +13,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .model import (
     BipartiteModel,
@@ -245,6 +244,9 @@ def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
     aperiodicity of an irreducible chain, which covers every kernel
     built here; a chain without one is reported as not ergodic.
     """
+    # Imported here so that `import scangibbs` and a coupling run skip csgraph.
+    from scipy.sparse.csgraph import connected_components
+
     matrix = kernel.matrix if isinstance(kernel, Kernel) else kernel
     support = sp.csr_array(matrix > 0.0)
     n_comp, _ = connected_components(support, directed=True, connection="strong")

@@ -66,10 +66,25 @@ def _check_search(threshold: float, t_max: int) -> None:
         raise MixingError("t_max must be at least 1")
 
 
+def _check_nonnegative(*operands: np.ndarray) -> None:
+    """Raise NumericalError unless every entry of every operand is >= 0.
+
+    A product of entrywise nonnegative float64 matrices subtracts
+    nothing, and rounding a nonnegative sum keeps it nonnegative, so
+    checking the operands once stands in for clamping every product.
+    NaN fails the comparison and raises too.
+    """
+    for operand in operands:
+        if not np.all(operand >= 0.0):
+            raise chain.NumericalError("operand has a negative or NaN entry")
+
+
 def _renormalized_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with negatives clamped and rows renormalized, in place on the product."""
+    """a @ b with rows renormalized, in place on the product.
+
+    a and b are entrywise nonnegative (_check_nonnegative), and so is a @ b.
+    """
     matrix = a @ b
-    np.maximum(matrix, 0.0, out=matrix)
     matrix /= matrix.sum(axis=1)[:, None]
     return matrix
 
@@ -88,6 +103,7 @@ def exact_mixing_time(
     which is exact because worst-start TV is non-increasing in t.
     """
     _check_search(threshold, t_max)
+    _check_nonnegative(kernel.matrix)
     if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
     if method == "iterate":
@@ -203,6 +219,7 @@ def scan_mixing_time(
 def _scan_search(table, threshold, t_max) -> MixingReport:
     """scan_mixing_time with its threshold, t_max and ergodicity checked."""
     p1, a = table.p1, table.cond1
+    _check_nonnegative(a, table.cond2)
     curve = {0: 1.0 - float(table.joint[table.joint > 0.0].min())}
     if curve[0] > threshold:
         curve[1] = _worst_tv(a, p1)
@@ -326,8 +343,7 @@ def active_start_mixing_time(
     negative stored entry raises NumericalError.
     """
     _check_search(threshold, t_max)
-    if not np.all(symmetric.data >= 0.0):
-        raise chain.NumericalError("symmetric form has a negative or NaN entry")
+    _check_nonnegative(symmetric.data)
     pi = space.pi
     if 1.0 - float(pi.min()) <= threshold:
         return 0
@@ -470,6 +486,7 @@ def scan_fill_inequality(table: chain.JointTable) -> dict:
     """
     contraction = scan_correlation(table) ** 2
     a, p1 = table.cond1, table.p1
+    _check_nonnegative(a, table.cond2)
     _, cols = np.nonzero(table.joint)
 
     def tvs():

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .chain import (
     Kernel,
@@ -27,8 +25,9 @@ from . import chain
 
 _SYMMETRY_TOL = 1e-9
 _REVERSIBILITY_TOL = 1e-10
-# Largest kernel whose sparse eigenproblem goes to the dense solver.
-_DENSE_EIGEN_MAX = 64
+# Largest kernel whose sparse eigenproblem goes to the dense solver, which
+# beats ARPACK up to 128 states and loses to it from 256 on most models (README).
+_DENSE_EIGEN_MAX = 128
 
 
 class SpectralError(ValueError):
@@ -112,6 +111,9 @@ def relaxation_time(kernel: Kernel, space: StateSpace) -> SpectralReport:
 
 def check_scan_ergodic(table: chain.JointTable) -> None:
     """The scan is ergodic iff the bipartite support graph of J is connected."""
+    # Imported here so that `import scangibbs` and a coupling run skip csgraph.
+    from scipy.sparse.csgraph import connected_components
+
     n1, n2 = table.joint.shape
     rows, cols = np.nonzero(table.joint)
     graph = sp.coo_array((np.ones(rows.size), (rows, n1 + cols)), shape=(n1 + n2, n1 + n2))
@@ -232,6 +234,8 @@ def sparse_deviation_norm(symmetric: sp.csr_array, space: StateSpace) -> float:
     if N <= _DENSE_EIGEN_MAX:
         eigs = np.linalg.eigvalsh(symmetric.toarray() - np.outer(sqrt_pi, sqrt_pi))
         return float(np.max(np.abs(eigs)))
+    # Imported here: scipy.sparse.linalg loads scipy.linalg, which only ARPACK needs.
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     def deflated(v):
         return symmetric @ v - sqrt_pi * (sqrt_pi @ v)

@@ -48,6 +48,9 @@ def engine_models(zero_rbm_22, asymmetric_rbm):
                   for i in range(2) for j in range(2))
     models.append(model_from_edges(2, 2, 3, edges, rng.uniform(-1.0, 1.0, (4, 3)),
                                    label="potts3"))
+    # 256 states: above the largest spectrum solved densely (128 states).
+    models.append(sg.random_bipartite_model(
+        4, 4, int(rng.integers(0, 17)), -2.0, 2.0, seed=int(rng.integers(0, 2 ** 31))))
     return models
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -506,3 +507,36 @@ def test_in_place_renormalize_and_readout_are_bit_identical():
                 assert mixing._worst_tv(power, space.pi) == tv
                 assert mixing._worst_tv(power, space.pi, np.empty_like(power)) == tv
                 assert power.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 30, 50])
+def test_unclamped_product_gives_the_tv_curves_of_a_clamping_one(monkeypatch, n):
+    # Products of nonnegative matrices have no negative entry to clamp.
+    space = sg.lumped_state_space(n)
+    kernels = (sg.lumped_ru_kernel(n, lazy=False), sg.lumped_as_kernel(n))
+    curves = [exact_mixing_time(k, space, t_max=10 ** 17, method="doubling").tv_curve
+              for k in kernels]
+    monkeypatch.setattr(mixing, "_renormalized_product",
+                        lambda a, b: _renormalize_reference(a @ b))
+    for kernel, curve in zip(kernels, curves):
+        assert exact_mixing_time(
+            kernel, space, t_max=10 ** 17, method="doubling").tv_curve == curve
+
+
+@pytest.mark.parametrize("bad", [-1e-300, math.nan])
+def test_negative_or_nan_operand_raises(k22, bad):
+    model, space = k22
+    matrix = random_update_kernel(model, space).matrix.copy()
+    matrix[0, 1] = bad
+    kernel = chain.Kernel(matrix, chain.UNIT_VARIABLE, "broken")
+    for method in ("iterate", "doubling"):
+        with pytest.raises(chain.NumericalError, match="negative or NaN"):
+            exact_mixing_time(kernel, space, method=method)
+    table = chain.joint_table(model, space)
+    for field in ("cond1", "cond2"):
+        conditional = getattr(table, field).copy()
+        conditional[0, 0] = bad
+        broken = dataclasses.replace(table, **{field: conditional})
+        for analysis in (mixing.scan_mixing_time, mixing.scan_fill_inequality):
+            with pytest.raises(chain.NumericalError, match="negative or NaN"):
+                analysis(broken)

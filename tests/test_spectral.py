@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 import scangibbs as sg
 from scangibbs import chain, cli, mixing, spectral
@@ -265,7 +266,8 @@ def test_verifiers_use_no_dense_scan_path(monkeypatch):
     assert peak < 8 * n_states ** 2 // 2
 
 
-@pytest.mark.parametrize("size", [20, 100])
+# 200 states is above the dense switch, so ARPACK solves that case.
+@pytest.mark.parametrize("size", [20, 100, 200])
 def test_sparse_slem_sees_the_negative_end(size):
     # a walk on K_{m,m} that holds with probability 0.02: eigenvalues 1, 0.02, -0.96
     half = size // 2
@@ -279,14 +281,19 @@ def test_sparse_slem_sees_the_negative_end(size):
 
 
 def test_sparse_slem_converges_on_a_zero_cluster():
-    # The non-lazy kernel of this 128-state model has several eigenvalues
+    # The non-lazy kernel of this 256-state model has several eigenvalues
     # at exactly 0 after deflation, where ARPACK's relative tolerance
     # cannot be met unless the spectrum is shifted.
-    model = sg.random_bipartite_model(2, 5, 1, -2.0, 2.0, seed=467056584360792720)
+    model = sg.random_bipartite_model(2, 6, 1, -2.0, 2.0, seed=6)
     space = sg.enumerate_state_space(model)
     assert space.size > spectral._DENSE_EIGEN_MAX
     dense = sg.deviation_norm(random_update_kernel(model, space, lazy=False), space)
     s_ru = spectral.random_update_symmetric(model, space, lazy=False)
+    r = np.sqrt(space.pi)
+    unshifted = LinearOperator(s_ru.shape, matvec=lambda v: s_ru @ v - r * (r @ v), dtype=float)
+    v0 = np.random.default_rng(0).uniform(0.5, 1.5, space.size)
+    with pytest.raises(ArpackNoConvergence):
+        eigsh(unshifted, k=2, which="BE", v0=v0, tol=0.0, return_eigenvectors=False)
     sparse = spectral.sparse_deviation_norm(s_ru, space)
     assert sparse == pytest.approx(dense, rel=1e-12)
     assert sg.verify_theorem1(model, lazy=False)["holds"]
