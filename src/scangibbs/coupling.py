@@ -10,6 +10,8 @@ time dominates the coupling time of every start pair.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import exp
 
@@ -24,9 +26,9 @@ SAMPLER_ALTERNATING_SCAN = "alternating_scan"
 
 _RNG_BLOCK = 4096
 
-# Chain entries per block of scan replicates: a block of B = 2^15 // n
-# replicates keeps each (n, B) float array near 256 KB, in cache.
-_SCAN_BLOCK_ELEMENTS = 2 ** 15
+# Chain entries per block of scan replicates: B = 2^16 // n replicates
+# (README, "How the grand coupling updates", *Blocks*).
+_SCAN_BLOCK_ELEMENTS = 2 ** 16
 
 # Relative widening of the bounds of `_widened`. A computed conditional
 # strays from the exact one by a few units of 2^-53 (exp errs by at most
@@ -270,15 +272,20 @@ def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy, top0, bot0):
         # 1 or 0 where the site's bounds decide the draw for both chains,
         # -1 where the uniform falls between them.
         codes = np.where(uniforms < lo[sites], 1, np.where(uniforms >= hi[sites], 0, -1))
-        for k, (x, u, code) in enumerate(zip(sites.tolist(), uniforms.tolist(),
-                                             codes.tolist())):
+        # A decided update at a site where the chains agree changes no
+        # disagreement, so it only writes its code.
+        for move, x, u, code in zip(moves.tolist(), sites.tolist(), uniforms.tolist(),
+                                    codes.tolist()):
             if code < 0:
                 disagreements += _site_update(bias, nbrs, top, bottom, x, u)
-            else:
-                disagreements -= top[x] != bottom[x]
+            elif top[x] == bottom[x]:
                 top[x] = bottom[x] = code
+                continue
+            else:
+                top[x] = bottom[x] = code
+                disagreements -= 1
             if not disagreements:
-                updates += int(moves[k]) + 1
+                updates += move + 1
                 break
         else:
             updates += block
@@ -296,12 +303,13 @@ def _scan_update(b, weights, top, bottom, u, where) -> tuple:
     """Draws of both chains at the flat positions `where` of one half's
     (n_own, B) block, from both chains' fields and `expit`.
 
-    `top` and `bottom` are the other half's (n_other, B) slices, and u
-    the half's uniforms.
+    `top` and `bottom` are the other half's (n_other, B) int8 slices,
+    converted to float64 for the sparse products, and u the half's
+    uniforms.
     """
     b = b.take(where // top.shape[1])
-    field_top = b + (weights @ top).take(where)
-    field_bot = b + (weights @ bottom).take(where)
+    field_top = b + (weights @ top.astype(float)).take(where)
+    field_bot = b + (weights @ bottom.astype(float)).take(where)
     u = u.take(where)
     new_top = u < expit(field_top)
     # Equal fields give equal draws; the bottom chain needs its own
@@ -343,41 +351,88 @@ def _scan_epoch(halves, draws, lazy, top, bottom, checking) -> None:
             chain.put(where, drawn)
 
 
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
 def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0) -> list:
     """Coalescence time of each replicate, or None where truncated.
 
-    Replicates run in blocks of B, each chain an (n, B) array, so a half
-    scan makes one sparse product per chain for the whole block. A
-    replicate whose chains are equal at an epoch boundary runs one more
-    epoch with every moving site through `_scan_update` and must stay equal;
-    one still apart leaves when its next epoch would pass the cap.
+    Replicates run in blocks of B (`_scan_block`). The calling thread and
+    one helper thread per further usable core, up to one thread per
+    block, take blocks in turn from a shared counter. A block reads only
+    its own streams and writes only its own entries of `times`, so no
+    result depends on which thread runs it or when. After the first
+    error no block is handed out; the caller waits for the helpers and
+    re-raises it. Helpers call only private functions, so a tracer that
+    wraps the public ones sees every span on the calling thread.
     """
     n = top0.size
     width = max(1, _SCAN_BLOCK_ELEMENTS // n)
-    draws = np.empty((width, 2 * n if lazy else n))
+    firsts = range(0, replicates, width)
+    pending = iter(firsts)
     times = [None] * replicates
-    for first in range(0, replicates, width):
-        reps = np.arange(first, min(first + width, replicates))
-        rngs = [_stream(key, rep) for rep in reps]
-        top = np.repeat(top0[:, None].astype(float), reps.size, axis=1)
-        bottom = np.repeat(bot0[:, None].astype(float), reps.size, axis=1)
-        checking = np.zeros(reps.size, dtype=bool)
-        updates = 0
+    errors = []
+    lock = threading.Lock()
+
+    def work():
+        draws = np.empty((width, 2 * n if lazy else n))
         while True:
-            met = (top == bottom).all(axis=0)
-            if not met[checking].all():
-                raise CouplingInvariantError("coalesced chains separated")
-            for rep in reps[met & ~checking].tolist():
-                times[rep] = updates
-            stay = ~checking & (met | (updates + n <= max_updates))
-            checking = met[stay]
-            if not stay.all():
-                reps, top, bottom = reps[stay], top[:, stay], bottom[:, stay]
-                rngs = [rng for rng, kept in zip(rngs, stay) if kept]
-                if not reps.size:
-                    break
-            for rng, row in zip(rngs, draws):
-                rng.random(out=row)
-            _scan_epoch(halves, draws[:reps.size].T.copy(), lazy, top, bottom, checking)
-            updates += n
+            with lock:
+                first = None if errors else next(pending, None)
+            if first is None:
+                return
+            reps = np.arange(first, min(first + width, replicates))
+            try:
+                _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times)
+            except BaseException as exc:  # re-raised by the calling thread
+                with lock:
+                    errors.append(exc)
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_usable_cores(), len(firsts)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
     return times
+
+
+def _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times) -> None:
+    """Run the replicates `reps` as one block and write their entries of
+    `times`.
+
+    Each chain is an (n, B) int8 array, so a half scan makes one sparse
+    product per chain for the whole block. `draws` is a (B, n) buffer,
+    (B, 2n) when lazy. A replicate whose chains are equal at an epoch
+    boundary runs one more epoch with every moving site through
+    `_scan_update` and must stay equal; one still apart leaves when its
+    next epoch would pass the cap.
+    """
+    n = top0.size
+    rngs = [_stream(key, rep) for rep in reps]
+    top = np.repeat(top0[:, None], reps.size, axis=1)
+    bottom = np.repeat(bot0[:, None], reps.size, axis=1)
+    checking = np.zeros(reps.size, dtype=bool)
+    updates = 0
+    while True:
+        met = (top == bottom).all(axis=0)
+        if not met[checking].all():
+            raise CouplingInvariantError("coalesced chains separated")
+        for rep in reps[met & ~checking].tolist():
+            times[rep] = updates
+        stay = ~checking & (met | (updates + n <= max_updates))
+        checking = met[stay]
+        if not stay.all():
+            reps, top, bottom = reps[stay], top[:, stay], bottom[:, stay]
+            rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+            if not reps.size:
+                return
+        for rng, row in zip(rngs, draws):
+            rng.random(out=row)
+        _scan_epoch(halves, draws[:reps.size].T.copy(), lazy, top, bottom, checking)
+        updates += n

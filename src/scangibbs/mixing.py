@@ -242,8 +242,9 @@ def _scan_search(table, threshold, t_max) -> MixingReport:
 # power beat dense rows times the dense one below d = 0.04; S^2 of the
 # 2048-state models is 3.3% dense, their S^4 27%.
 _SPARSE_DENSITY = 0.05
-# _symmetric_deviation reads and densifies this many rows at a time.
-_READOUT_ROWS = 128
+# _symmetric_deviation reads and densifies rows in blocks of about this
+# many entries: 32 rows of a 2048-state power, all rows up to 256 states.
+_READOUT_ELEMENTS = 2 ** 16
 
 
 def _symmetric_square(square):
@@ -277,17 +278,19 @@ def _symmetric_deviation(rows, starts, r) -> np.ndarray:
 
         2 d_x(t) = (1 / r_x) sum_y r_y |S^t(x, y) - r_x r_y|.
 
-    The rows are read _READOUT_ROWS at a time, a sparse block densified
-    on its own, and einsum sums each row on its own, as a gemv does not.
+    The rows are read in blocks of _READOUT_ELEMENTS entries, a sparse
+    block densified on its own, and einsum sums each row on its own, as a
+    gemv does not.
     """
+    step = max(1, _READOUT_ELEMENTS // len(r))
     deviation = np.empty(len(starts))
-    buffer = np.empty((min(len(starts), _READOUT_ROWS), len(r)))
-    for lo in range(0, len(starts), _READOUT_ROWS):
+    buffer = np.empty((min(len(starts), step), len(r)))
+    for lo in range(0, len(starts), step):
         # Slicing a sparse matrix copies it, so a single block is not sliced.
-        block = rows if len(starts) <= _READOUT_ROWS else rows[lo : lo + _READOUT_ROWS]
+        block = rows if len(starts) <= step else rows[lo : lo + step]
         if sp.issparse(block):
             block = block.toarray()
-        scale = r[starts[lo : lo + _READOUT_ROWS]]
+        scale = r[starts[lo : lo + step]]
         out = np.multiply(scale[:, None], r, out=buffer[: len(scale)])
         np.subtract(block, out, out=out)
         np.abs(out, out=out)

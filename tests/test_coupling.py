@@ -1,5 +1,9 @@
+import importlib
 import itertools
 import math
+import pkgutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -510,12 +514,13 @@ def test_scan_bounds_decide_most_draws(monkeypatch):
     halves = coupling._scan_halves(model, bias)
     spread = np.concatenate([hi - lo for *_, lo, hi in halves])
     assert float(np.mean(spread)) == pytest.approx(0.120, abs=0.001)
-    draws = 0
+    # Helper threads run blocks too; list.append is atomic, where a
+    # nonlocal += could lose an update between two threads.
+    sizes = []
     real_update = coupling._scan_update
 
     def counted(b, weights, top, bottom, u, where):
-        nonlocal draws
-        draws += where.size
+        sizes.append(where.size)
         return real_update(b, weights, top, bottom, u, where)
 
     monkeypatch.setattr(coupling, "_scan_update", counted)
@@ -523,5 +528,125 @@ def test_scan_bounds_decide_most_draws(monkeypatch):
     assert report.truncated_count == 0
     updates = sum(report.samples)
     # The check epoch of each replicate sends all n sites through.
-    coalescence_draws = draws - report.replicates * model.n
+    coalescence_draws = sum(sizes) - report.replicates * model.n
     assert 0 < coalescence_draws < 0.15 * updates
+
+
+def _caller_waits_for_a_helper(monkeypatch) -> list:
+    """Make the calling thread's first scan block wait until a helper
+    thread has run a block and ended, so a helper surely runs one and
+    its error, if any, is the first. Returns the helpers' errors."""
+    helpers, raised = [], []
+    started = threading.Event()
+    real_block = coupling._scan_block
+
+    def block(*args):
+        if threading.current_thread() is threading.main_thread():
+            assert started.wait(timeout=30), "no helper thread ran a block"
+            helpers[0].join(timeout=30)
+            assert not helpers[0].is_alive(), "the helper thread did not end"
+            return real_block(*args)
+        helpers.append(threading.current_thread())
+        started.set()
+        try:
+            return real_block(*args)
+        except coupling.CouplingInvariantError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(coupling, "_scan_block", block)
+    return raised
+
+
+# With 270 elements, random_order_ferro's 10 replicates run in 4 blocks
+# (3, 3, 3 and 1). A cap of 850 truncates some replicates when lazy, one
+# of 200 some when not (and all when lazy).
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_scan_matches_reference_on_any_worker_count(random_order_ferro, monkeypatch,
+                                                    workers, lazy):
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", 270)
+    monkeypatch.setattr(coupling, "_usable_cores", lambda: workers)
+    before = threading.active_count()
+    for max_updates in (400000, 850, 200):
+        report = grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10,
+                                     max_updates, lazy=lazy)
+        assert (report.samples, report.streams) == alternating_scan_coupling(
+            random_order_ferro, 11, 10, max_updates, lazy)
+    assert threading.active_count() == before
+
+
+def test_scan_of_one_block_starts_no_thread(random_order_ferro, monkeypatch):
+    # Ten replicates of 90 sites make one block of 2^16 entries; starting
+    # a thread would call None.
+    monkeypatch.setattr(coupling, "_usable_cores", lambda: 8)
+    monkeypatch.setattr(threading, "Thread", None)
+    report = grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10, 400000)
+    assert (report.samples, report.streams) == alternating_scan_coupling(
+        random_order_ferro, 11, 10, 400000, False)
+
+
+def test_scan_blocks_survive_frequent_thread_switches(random_order_ferro, monkeypatch):
+    # Blocks of one replicate on eight workers, more than the cores, with
+    # the interpreter switching threads every microsecond: a block handed
+    # out twice or not at all, or a lost entry of `times`, changes the
+    # samples or streams.
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", random_order_ferro.n)
+    monkeypatch.setattr(coupling, "_usable_cores", lambda: 8)
+    before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10,
+                                     400000, lazy=True)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (report.samples, report.streams) == alternating_scan_coupling(
+        random_order_ferro, 11, 10, 400000, True)
+    assert threading.active_count() == before
+
+
+def test_scan_error_in_a_helper_thread_reaches_the_caller(random_order_ferro, monkeypatch):
+    # The anti-monotone conditional breaks the sandwich in every block
+    # (see test_sandwich_violation_detected); the helper's block raises
+    # first, and its error, not the caller's own, is the one re-raised.
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", 270)
+    monkeypatch.setattr(coupling, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(coupling, "expit", lambda z: expit(-z))
+    raised = _caller_waits_for_a_helper(monkeypatch)
+    before = threading.active_count()
+    with pytest.raises(coupling.CouplingInvariantError, match="sandwich violated") as caught:
+        grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10, 400000)
+    assert len(raised) == 1 and caught.value is raised[0]
+    assert threading.active_count() == before
+
+
+def test_scan_helpers_call_no_public_function(random_order_ferro, monkeypatch):
+    # A tracer that wraps the public functions keeps one span stack, so
+    # helper threads may call private functions only.
+    modules = [importlib.import_module(f"scangibbs.{info.name}")
+               for info in pkgutil.iter_modules(sg.__path__)]
+    off_main = []
+
+    def wrapped(fn):
+        def call(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+        return call
+
+    public = {id(obj): wrapped(obj) for module in modules for name, obj in vars(module).items()
+              if not name.startswith("_") and callable(obj)
+              and getattr(obj, "__module__", None) == module.__name__
+              and not isinstance(obj, type)}
+    for holder in (sg, *modules):
+        for name, obj in list(vars(holder).items()):
+            if id(obj) in public:
+                monkeypatch.setattr(holder, name, public[id(obj)])
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", 270)
+    monkeypatch.setattr(coupling, "_usable_cores", lambda: 3)
+    _caller_waits_for_a_helper(monkeypatch)
+    report = coupling.grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11,
+                                          10, 400000, lazy=True)
+    assert report.truncated_count == 0
+    assert off_main == []

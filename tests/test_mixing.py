@@ -359,9 +359,10 @@ def test_symmetric_readout_matches_the_kernel_rows(engine_models, lazy):
 
 def test_symmetric_readout_does_not_depend_on_the_rows_read_with_it(monkeypatch):
     # Each start's deviation is summed on its own: read from S^8 in blocks
-    # of 1, 7 or 128 rows, all at once, or among every third start only,
-    # it is the same to the bit. A BLAS gemv over each block gave 1661 of
-    # the 2048 rows a different last bit in blocks of 1 than in blocks of 128.
+    # of 1, 7, 32 (the default's 2^16 entries) or 128 rows, all at once, or
+    # among every third start only, it is the same to the bit. A BLAS gemv
+    # over each block gave 1661 of the 2048 rows a different last bit in
+    # blocks of 1 than in blocks of 128.
     model = sg.random_bipartite_model(5, 6, 30, -1.0, 1.0, 1)
     space = sg.enumerate_state_space(model, cap=4096)
     power = spectral.random_update_symmetric(model, space)
@@ -370,8 +371,8 @@ def test_symmetric_readout_does_not_depend_on_the_rows_read_with_it(monkeypatch)
     starts, r = np.arange(space.size), np.sqrt(space.pi)
     every_third = starts[::3]
     whole, subsets = [], []
-    for block_rows in (1, 7, 128, space.size):
-        monkeypatch.setattr(mixing, "_READOUT_ROWS", block_rows)
+    for block_rows in (1, 7, 32, 128, space.size):
+        monkeypatch.setattr(mixing, "_READOUT_ELEMENTS", block_rows * space.size)
         whole.append(mixing._symmetric_deviation(power, starts, r).tobytes())
         subsets.append(mixing._symmetric_deviation(power[every_third], every_third, r))
     assert len(set(whole)) == 1
