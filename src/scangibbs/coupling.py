@@ -17,7 +17,6 @@ from math import exp
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .model import BipartiteModel, ModelError, philox_key
 
@@ -30,9 +29,9 @@ _RNG_BLOCK = 4096
 # (README, "How the grand coupling updates", *Blocks*).
 _SCAN_BLOCK_ELEMENTS = 2 ** 16
 
-# Relative widening of the bounds of `_widened`. A computed conditional
-# strays from the exact one by a few units of 2^-53 (exp errs by at most
-# 1 ulp); the README ("How the grand coupling updates") derives 2^-40.
+# Width around a conditional computed with numpy's exp that contains the
+# one `_logistic` computes at the same argument: the two differ by less
+# than 2^-48; the README ("How the grand coupling updates") derives 2^-40.
 _BOUND_MARGIN = 2.0 ** -40
 
 
@@ -95,31 +94,56 @@ def _neighbors(model: BipartiteModel) -> tuple:
 
 
 def _logistic(z: float) -> float:
-    """1/(1 + exp(-z)), and 0 where exp(-z) overflows, as `expit` gives."""
+    """1/(1 + exp(-z)) with libm's exp, and 0 where exp(-z) overflows:
+    the conditional both samplers draw with, exactly."""
     try:
         return 1.0 / (1.0 + exp(-z))
     except OverflowError:
         return 0.0
 
 
-def _widened(at_zero, at_fmax) -> tuple:
-    """Arrays lo, hi around a site's conditional at the two ends of its
-    field's range, widened by `_BOUND_MARGIN`."""
-    lo = np.minimum(at_zero, at_fmax) * (1.0 - _BOUND_MARGIN)
-    hi = np.maximum(at_zero, at_fmax) * (1.0 + _BOUND_MARGIN)
-    return lo, hi
+def _conditional(z: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-z)) elementwise with numpy's exp, 0 where it overflows,
+    as a new array.
+
+    It lies within `_BOUND_MARGIN` of `_logistic(z)` at every z, but is
+    not always equal to it. The caller sets numpy's errstate to ignore
+    the overflow.
+    """
+    g = np.exp(-z)
+    g += 1.0
+    return np.divide(1.0, g, out=g)
 
 
-def _bounds(bias: list, fmax: list) -> tuple:
+def _bounds(bias: np.ndarray, fmax) -> tuple:
     """Arrays lo, hi with lo[x] <= P(x = 1 | field) <= hi[x] for every field
-    `_site_update` can sum at site x.
+    the samplers can sum at site x.
 
     Weights are nonnegative, so such a field lies in [0, fmax[x]], and the
     conditional, monotone in the field, lies between its values at the two
-    ends, up to the rounding that `_BOUND_MARGIN` covers.
+    ends, up to rounding and the difference of `_conditional` from
+    `_logistic`, which `_BOUND_MARGIN` covers.
     """
-    return _widened([_logistic(b) for b in bias],
-                    [_logistic(b + f) for b, f in zip(bias, fmax)])
+    with np.errstate(over="ignore"):
+        at_zero, at_fmax = _conditional(bias), _conditional(bias + fmax)
+    return (np.minimum(at_zero, at_fmax) - _BOUND_MARGIN,
+            np.maximum(at_zero, at_fmax) + _BOUND_MARGIN)
+
+
+def _below(u: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """u < _logistic(z) elementwise: u < g for g = `_conditional(z)`
+    wherever |u - g| exceeds `_BOUND_MARGIN`, and from `_logistic` at
+    the rest.
+
+    |u - g| is formed in g's own buffer, so that a call holds one float
+    array; the caller sets numpy's errstate to ignore overflow.
+    """
+    g = _conditional(z)
+    below = u < g
+    np.subtract(u, g, out=g)
+    unsure = np.flatnonzero(np.abs(g, out=g) <= _BOUND_MARGIN)
+    below[unsure] = [v < _logistic(t) for v, t in zip(u[unsure].tolist(), z[unsure].tolist())]
+    return below
 
 
 def _scan_halves(model: BipartiteModel, bias: np.ndarray) -> tuple:
@@ -127,9 +151,8 @@ def _scan_halves(model: BipartiteModel, bias: np.ndarray) -> tuple:
     half's slice, its weights, its biases, lo, hi).
 
     The weights are `cross` and its CSR transpose, whose rows list their
-    entries by ascending first-partition index. lo and hi bound each
-    site's conditional as `_bounds` does, with fmax summed in the order
-    its field sums in, and the ends from `expit`, as the scan decides.
+    entries by ascending first-partition index. lo and hi are `_bounds`,
+    with fmax summed in the order its field sums in.
     """
     n1, n = model.n1, model.n
     cross = sp.csr_array(
@@ -140,8 +163,7 @@ def _scan_halves(model: BipartiteModel, bias: np.ndarray) -> tuple:
     for own, other, weights in ((slice(0, n1), slice(n1, n), cross),
                                 (slice(n1, n), slice(0, n1), cross.T.tocsr())):
         b = bias[own]
-        fmax = weights @ np.ones(weights.shape[1])
-        halves.append((own, other, weights, b, *_widened(expit(b), expit(b + fmax))))
+        halves.append((own, other, weights, b, *_bounds(b, weights @ np.ones(weights.shape[1]))))
     return tuple(halves)
 
 
@@ -194,8 +216,8 @@ def grand_coupling_time(
 
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     if sampler == SAMPLER_RANDOM_UPDATE:
-        bias, (nbrs, fmax) = bias.tolist(), _neighbors(model)
-        view = (bias, nbrs, *_bounds(bias, fmax))
+        nbrs, fmax = _neighbors(model)
+        view = (bias.tolist(), nbrs, *_bounds(bias, fmax))
         times = [_run_random_update(*view, _stream(key, rep), max_updates, lazy, top0, bot0)
                  for rep in range(replicates)]
     else:
@@ -301,7 +323,7 @@ def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy, top0, bot0):
 
 def _scan_update(b, weights, top, bottom, u, where) -> tuple:
     """Draws of both chains at the flat positions `where` of one half's
-    (n_own, B) block, from both chains' fields and `expit`.
+    (n_own, B) block, from both chains' fields and `_below`.
 
     `top` and `bottom` are the other half's (n_other, B) int8 slices,
     converted to float64 for the sparse products, and u the half's
@@ -311,12 +333,15 @@ def _scan_update(b, weights, top, bottom, u, where) -> tuple:
     field_top = b + (weights @ top.astype(float)).take(where)
     field_bot = b + (weights @ bottom.astype(float)).take(where)
     u = u.take(where)
-    new_top = u < expit(field_top)
     # Equal fields give equal draws; the bottom chain needs its own
-    # conditional only where its field differs from the top chain's.
-    new_bot = new_top.copy()
+    # conditional only where its field differs from the top chain's. Both
+    # chains' draws come from one call.
     differ = np.flatnonzero(field_top != field_bot)
-    new_bot[differ] = u[differ] < expit(field_bot[differ])
+    drawn = _below(np.concatenate((u, u[differ])),
+                   np.concatenate((field_top, field_bot[differ])))
+    new_top = drawn[:u.size]
+    new_bot = new_top.copy()
+    new_bot[differ] = drawn[u.size:]
     if np.any(new_bot > new_top):
         raise CouplingInvariantError("sandwich violated during a scan")
     return new_top, new_bot
@@ -352,8 +377,12 @@ def _scan_epoch(halves, draws, lazy, top, bottom, checking) -> None:
 
 
 def _usable_cores() -> int:
-    """The number of cores this process may run on."""
-    return len(os.sched_getaffinity(0))
+    """The number of cores this process may run on, or where the platform
+    cannot tell (macOS and Windows lack `sched_getaffinity`), the number
+    of cores of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0) -> list:
@@ -419,20 +448,21 @@ def _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times) 
     bottom = np.repeat(bot0[:, None], reps.size, axis=1)
     checking = np.zeros(reps.size, dtype=bool)
     updates = 0
-    while True:
-        met = (top == bottom).all(axis=0)
-        if not met[checking].all():
-            raise CouplingInvariantError("coalesced chains separated")
-        for rep in reps[met & ~checking].tolist():
-            times[rep] = updates
-        stay = ~checking & (met | (updates + n <= max_updates))
-        checking = met[stay]
-        if not stay.all():
-            reps, top, bottom = reps[stay], top[:, stay], bottom[:, stay]
-            rngs = [rng for rng, kept in zip(rngs, stay) if kept]
-            if not reps.size:
-                return
-        for rng, row in zip(rngs, draws):
-            rng.random(out=row)
-        _scan_epoch(halves, draws[:reps.size].T.copy(), lazy, top, bottom, checking)
-        updates += n
+    with np.errstate(over="ignore"):  # for `_below`, once per block
+        while True:
+            met = (top == bottom).all(axis=0)
+            if not met[checking].all():
+                raise CouplingInvariantError("coalesced chains separated")
+            for rep in reps[met & ~checking].tolist():
+                times[rep] = updates
+            stay = ~checking & (met | (updates + n <= max_updates))
+            checking = met[stay]
+            if not stay.all():
+                reps, top, bottom = reps[stay], top[:, stay], bottom[:, stay]
+                rngs = [rng for rng, kept in zip(rngs, stay) if kept]
+                if not reps.size:
+                    return
+            for rng, row in zip(rngs, draws):
+                rng.random(out=row)
+            _scan_epoch(halves, draws[:reps.size].T.copy(), lazy, top, bottom, checking)
+            updates += n

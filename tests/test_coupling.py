@@ -192,17 +192,39 @@ def test_pinned_samples(request, model, sampler, lazy, max_updates, expected):
     assert report.samples == expected
 
 
+def _anti_monotone(monkeypatch) -> set:
+    """Make the conditional 1/(1 + exp(field)) in both its forms, numpy's
+    `_conditional` and libm's `_logistic`, so that the bounds and the
+    draws both see it. Returns the set of (form, calling function) pairs
+    seen."""
+    called = set()
+    forms = {name: getattr(coupling, name) for name in ("_conditional", "_logistic")}
+
+    def mutated(name):
+        def conditional(z):
+            called.add((name, sys._getframe(1).f_code.co_name))
+            return forms[name](-z)
+        return conditional
+
+    for name in forms:
+        monkeypatch.setattr(coupling, name, mutated(name))
+    return called
+
+
 @pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
 def test_sandwich_violation_detected(ferro, monkeypatch, sampler):
     # An anti-monotone conditional, 1/(1 + exp(field)), lets the bottom
     # chain overtake the top one at sites where the two fields differ,
-    # the only sites where the bottom conditional is evaluated.
-    if sampler == SAMPLER_RANDOM_UPDATE:
-        monkeypatch.setattr(coupling, "exp", lambda z: math.exp(-z))
-    else:
-        monkeypatch.setattr(coupling, "expit", lambda z: expit(-z))
+    # the only sites where the bottom conditional is evaluated. Both
+    # samplers take their bounds from `_conditional`; the random update
+    # draws from `_logistic`, the scan from `_conditional` through
+    # `_below`. The mutation must reach both.
+    called = _anti_monotone(monkeypatch)
     with pytest.raises(coupling.CouplingInvariantError, match="sandwich violated"):
         grand_coupling_time(ferro, sampler, 11, 1, 200000)
+    draws = (("_logistic", "_site_update") if sampler == SAMPLER_RANDOM_UPDATE
+             else ("_conditional", "_below"))
+    assert {("_conditional", "_bounds"), draws} <= called
 
 
 def test_post_coalescence_check_detects_separation(ferro, monkeypatch):
@@ -369,6 +391,98 @@ def test_logistic_is_zero_where_exp_overflows():
         assert coupling._logistic(z) == expit(z) == 0.0
     for z in (-709.78, -700.0, -30.0, -1.5, 0.0, 0.7, 40.0, 800.0, math.inf):
         assert coupling._logistic(z) == 1.0 / (1.0 + math.exp(-z))
+    # The reference scan of tests/oracles.py draws with scipy's expit, the
+    # scan with `_logistic`; the two must agree to the bit.
+    z = _arguments()
+    assert [coupling._logistic(t) for t in z.tolist()] == expit(z).tolist()
+
+
+def _arguments() -> np.ndarray:
+    """z from -800 to 800, on a grid and at random, with the 40 floats on
+    either side of the point below which exp(-z) overflows."""
+    edge = [-709.782712893384]
+    below = above = edge[0]
+    for _ in range(40):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        edge += [below, above]
+    return np.concatenate((np.linspace(-800.0, 800.0, 16001), edge,
+                           [-709.78, -708.4, -745.2, 36.8, 37.5],
+                           np.random.default_rng(4).uniform(-800.0, 800.0, 20000)))
+
+
+def _below_exactly(u, z) -> np.ndarray:
+    return np.array([v < coupling._logistic(t) for v, t in zip(u.tolist(), z.tolist())])
+
+
+def _below(u, z) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return coupling._below(u, z)
+
+
+def test_below_matches_logistic_at_and_next_to_the_conditional():
+    # u at _logistic(z) and at its two float neighbours, and u = 0, for z
+    # across both overflow and underflow of exp(-z): the draws numpy's
+    # conditional decides and those it leaves to `_logistic` alike must be
+    # u < _logistic(z).
+    z = _arguments()
+    g = np.array([coupling._logistic(t) for t in z.tolist()])
+    cases = {"at": g, "below": np.nextafter(g, -np.inf), "above": np.nextafter(g, np.inf),
+             "zero": np.zeros_like(g)}
+    for name, u in cases.items():
+        assert np.array_equal(_below(u, z), _below_exactly(u, z)), name
+    assert not _below(g, z).any()
+    assert _below(cases["below"], z).all()
+    # At u = 0 the draw is 1 exactly where the conditional is positive.
+    assert np.array_equal(_below(cases["zero"], z), g > 0.0)
+    assert 0.0 in g and 1.0 in g
+
+
+def test_below_decides_most_draws_from_numpy():
+    z = _arguments()
+    # Uniforms drawn as the samplers draw them almost never fall within
+    # the width of numpy's conditional, so `_logistic` is not called.
+    u = np.random.default_rng(5).random(z.size)
+    expected = _below_exactly(u, z)
+    calls = []
+    real = coupling._logistic
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coupling, "_logistic", lambda t: calls.append(t) or real(t))
+        assert np.array_equal(_below(u, z), expected)
+    assert calls == []
+
+
+_TINIEST = 1.0 / (1.0 + np.finfo(float).max)   # the least positive conditional
+
+
+@pytest.mark.parametrize("perturb", [
+    pytest.param(lambda g: g * (1.0 - 4 * 2.0 ** -52), id="minus_4_ulps"),
+    pytest.param(lambda g: g * (1.0 - 2.0 ** -52), id="minus_1_ulp"),
+    pytest.param(lambda g: g * (1.0 + 2.0 ** -52), id="plus_1_ulp"),
+    pytest.param(lambda g: g * (1.0 + 4 * 2.0 ** -52), id="plus_4_ulps"),
+    # an exp that overflows a little before or after libm's
+    pytest.param(lambda g: np.where(g < 2.0 ** -1022, 0.0, g), id="overflows_early"),
+    pytest.param(lambda g: np.where(g == 0.0, _TINIEST, g), id="overflows_late"),
+])
+def test_draws_survive_a_perturbed_numpy_conditional(ferro, mixed_unaries, monkeypatch,
+                                                      perturb):
+    # numpy's exp differs from libm's on some arguments; a conditional a
+    # few ulps off, or 0 where libm's is subnormal and back, all inside
+    # `_BOUND_MARGIN`, must leave every draw, bound decision and sample as
+    # it was.
+    z = _arguments()
+    g = np.array([coupling._logistic(t) for t in z.tolist()])
+    us = [np.random.default_rng(6).random(z.size), g, np.nextafter(g, -np.inf),
+          np.nextafter(g, np.inf), np.zeros_like(g)]
+    expected = [_below_exactly(u, z) for u in us]
+    runs = [(model, sampler, lazy) for model in (ferro, mixed_unaries) for lazy in (False, True)
+            for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN)]
+    reports = [grand_coupling_time(model, sampler, 3, 6, 200000, lazy=lazy)
+               for model, sampler, lazy in runs]
+    real = coupling._conditional
+    monkeypatch.setattr(coupling, "_conditional", lambda t: perturb(real(t)))
+    assert [_below(u, z).tolist() for u in us] == [e.tolist() for e in expected]
+    assert [grand_coupling_time(model, sampler, 3, 6, 200000, lazy=lazy)
+            for model, sampler, lazy in runs] == reports
 
 
 @pytest.mark.parametrize("model", ["six_vars", "mixed_unaries", "star", "ferro"])
@@ -378,7 +492,7 @@ def test_bounds_contain_every_reachable_conditional(request, model):
     model = request.getfixturevalue(model)
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).tolist()
     nbrs, fmax = coupling._neighbors(model)
-    lo, hi = coupling._bounds(bias, fmax)
+    lo, hi = coupling._bounds(np.array(bias), fmax)
     for x, site_nbrs in enumerate(nbrs):
         assert len(site_nbrs) <= 12
         for ones in itertools.product((False, True), repeat=len(site_nbrs)):
@@ -402,7 +516,7 @@ def test_bounds_decide_most_updates(monkeypatch):
     and with the bounds disabled every update would count.
     """
     model = sg.random_bipartite_model(1000, 1000, 5000, 0.0, 0.2, seed=424242)
-    bias = (model.unaries[:, 1] - model.unaries[:, 0]).tolist()
+    bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     lo, hi = coupling._bounds(bias, coupling._neighbors(model)[1])
     assert float(np.mean(hi - lo)) == pytest.approx(0.120, abs=0.001)
     calls = 0
@@ -481,7 +595,7 @@ def test_scan_blocks_match_reference(random_order_ferro, monkeypatch, elements, 
 def test_scan_bounds_contain_every_reachable_conditional(request, model):
     # Every subset of a site's row can be the set at 1 in the other half;
     # its field is summed in the row's CSR order, as the sparse product
-    # sums it, and the scan decides with `expit`.
+    # sums it, and the scan draws as `_logistic` does.
     model = request.getfixturevalue(model)
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     for _, _, weights, b, lo, hi in coupling._scan_halves(model, bias):
@@ -493,7 +607,7 @@ def test_scan_bounds_contain_every_reachable_conditional(request, model):
                 for w, one in zip(row, ones):
                     if one:
                         field += w
-                p = expit(b[i] + field)
+                p = coupling._logistic(b[i] + field)
                 assert lo[i] <= p <= hi[i], (i, ones)
 
 
@@ -576,6 +690,21 @@ def test_scan_matches_reference_on_any_worker_count(random_order_ferro, monkeypa
     assert threading.active_count() == before
 
 
+def test_usable_cores_without_sched_getaffinity(random_order_ferro, monkeypatch):
+    # macOS and Windows lack os.sched_getaffinity; the scan then counts the
+    # machine's cores, or one where even that is unknown, and its samples
+    # are the same.
+    monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", 270)
+    monkeypatch.delattr(coupling.os, "sched_getaffinity", raising=False)
+    for cores in (3, None):
+        monkeypatch.setattr(coupling.os, "cpu_count", lambda: cores)
+        assert coupling._usable_cores() == (cores or 1)
+        report = grand_coupling_time(random_order_ferro, SAMPLER_ALTERNATING_SCAN, 11, 10,
+                                     400000)
+        assert (report.samples, report.streams) == alternating_scan_coupling(
+            random_order_ferro, 11, 10, 400000, False)
+
+
 def test_scan_of_one_block_starts_no_thread(random_order_ferro, monkeypatch):
     # Ten replicates of 90 sites make one block of 2^16 entries; starting
     # a thread would call None.
@@ -612,7 +741,7 @@ def test_scan_error_in_a_helper_thread_reaches_the_caller(random_order_ferro, mo
     # first, and its error, not the caller's own, is the one re-raised.
     monkeypatch.setattr(coupling, "_SCAN_BLOCK_ELEMENTS", 270)
     monkeypatch.setattr(coupling, "_usable_cores", lambda: 2)
-    monkeypatch.setattr(coupling, "expit", lambda z: expit(-z))
+    _anti_monotone(monkeypatch)
     raised = _caller_waits_for_a_helper(monkeypatch)
     before = threading.active_count()
     with pytest.raises(coupling.CouplingInvariantError, match="sandwich violated") as caught:
