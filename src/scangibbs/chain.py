@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (
     BipartiteModel,
@@ -194,8 +193,8 @@ def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
     p1 = joint.sum(axis=1)
     p2 = joint.sum(axis=0)
     # Where pi underflows, a whole row or column of J can be 0 and its
-    # conditional law 0/0. The scan is then not ergodic, which every
-    # analysis checks (spectral.check_scan_ergodic) before it reads one.
+    # conditional law 0/0. The scan is then not ergodic, which every scan
+    # analysis finds by a sweep over J > 0 (spectral.check_scan_ergodic) first.
     with np.errstate(divide="ignore", invalid="ignore"):
         return JointTable(joint, p1, p2, (joint / p2[None, :]).T, joint / p1[:, None])
 
@@ -236,18 +235,21 @@ def is_reversible(kernel: Kernel, space: StateSpace, tol: float = _STATIONARITY_
     return detailed_balance_violation(kernel, space) <= tol
 
 
-def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
-    """Irreducibility via strong connectivity; aperiodicity via a self-loop.
+def _reached_from_zero(support: np.ndarray) -> np.ndarray:
+    """States reachable from state 0 along the True entries of support."""
+    reached = frontier = np.arange(len(support)) == 0
+    while np.count_nonzero(frontier):
+        frontier = support[frontier].any(axis=0) > reached
+        reached = reached | frontier
+    return reached
 
-    Takes a Kernel or a sparse matrix whose positive entries are the
-    moves of the chain. A positive diagonal entry suffices for
-    aperiodicity of an irreducible chain, which covers every kernel
+
+def is_ergodic(kernel: Kernel) -> bool:
+    """Irreducibility via reachability from state 0 along the moves and
+    back; aperiodicity via a self-loop. A positive diagonal entry suffices
+    for aperiodicity of an irreducible chain, which covers every kernel
     built here; a chain without one is reported as not ergodic.
     """
-    # Imported here so that `import scangibbs` and a coupling run skip csgraph.
-    from scipy.sparse.csgraph import connected_components
-
-    matrix = kernel.matrix if isinstance(kernel, Kernel) else kernel
-    support = sp.csr_array(matrix > 0.0)
-    n_comp, _ = connected_components(support, directed=True, connection="strong")
-    return bool(n_comp == 1 and support.diagonal().any())
+    support = kernel.matrix > 0.0
+    return bool(support.diagonal().any() and _reached_from_zero(support).all()
+                and _reached_from_zero(support.T).all())

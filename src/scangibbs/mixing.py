@@ -213,11 +213,6 @@ def scan_mixing_time(
     """
     _check_search(threshold, t_max)
     check_scan_ergodic(table)
-    return _scan_search(table, threshold, t_max)
-
-
-def _scan_search(table, threshold, t_max) -> MixingReport:
-    """scan_mixing_time with its threshold, t_max and ergodicity checked."""
     p1, a = table.p1, table.cond1
     _check_nonnegative(a, table.cond2)
     curve = {0: 1.0 - float(table.joint[table.joint > 0.0].min())}
@@ -418,9 +413,7 @@ def verify_mixing_bounds(
     t_rel_ru = random_update_report(s_ru, space).relaxation_time
     t_rel_as = scan_report(table).relaxation_time
     t_mix_ru = active_start_mixing_time(s_ru, space, threshold, t_max)
-    # scan_report has checked the scan's ergodicity and
-    # active_start_mixing_time the threshold and t_max.
-    mix_as = _scan_search(table, threshold, t_max)
+    mix_as = scan_mixing_time(table, threshold, t_max)
     if t_mix_ru is None or mix_as.truncated:
         raise MixingError("mixing-time computation truncated; raise t_max")
     t_mix_as = mix_as.mixing_time

@@ -110,15 +110,18 @@ def relaxation_time(kernel: Kernel, space: StateSpace) -> SpectralReport:
 
 
 def check_scan_ergodic(table: chain.JointTable) -> None:
-    """The scan is ergodic iff the bipartite support graph of J is connected."""
-    # Imported here so that `import scangibbs` and a coupling run skip csgraph.
-    from scipy.sparse.csgraph import connected_components
+    """The scan is ergodic iff the bipartite support graph of J is connected.
 
-    n1, n2 = table.joint.shape
-    rows, cols = np.nonzero(table.joint)
-    graph = sp.coo_array((np.ones(rows.size), (rows, n1 + cols)), shape=(n1 + n2, n1 + n2))
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp != 1:
+    Sweeps from row 0 mark the columns a marked row reaches, then the rows
+    a marked column reaches, until no row is added; all must be marked.
+    """
+    support = table.joint > 0.0
+    rows, marked = np.arange(support.shape[0]) == 0, 0
+    while np.count_nonzero(rows) > marked:
+        marked = np.count_nonzero(rows)
+        cols = support.any(axis=0, where=rows[:, None])
+        rows = rows | support.any(axis=1, where=cols)
+    if not (rows.all() and cols.all()):
         raise NonErgodicError("alternating scan is not ergodic")
 
 
@@ -180,9 +183,9 @@ def random_update_symmetric(
     float at every cell of a fiber and the product commutes, so S is
     symmetric to the bit. The lazy form 0.5 I + 0.5 S is mixed on the data array, as every diagonal
     entry is stored. The row sums of P are (S r) / r and get the checks
-    of make_kernel; ergodicity is checked on S. An ergodic chain's
-    stationary law is positive, so a zero in pi raises NonErgodicError
-    before any division.
+    of make_kernel. A zero in pi raises NonErgodicError before any
+    division; where pi > 0, S is irreducible and aperiodic (README,
+    "Random-update spectrum"), so no graph search follows.
     """
     pi = space.pi
     if not pi.all():
@@ -214,8 +217,6 @@ def random_update_symmetric(
         symmetric.data *= 0.5
         symmetric.data[symmetric.indices == np.repeat(states, np.diff(symmetric.indptr))] += 0.5
     chain._check_stochastic(symmetric.data.min(), (symmetric @ r) / r)
-    if not is_ergodic(symmetric):
-        raise NonErgodicError("kernel is not ergodic")
     return symmetric
 
 

@@ -10,15 +10,17 @@ D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
 operator norm, the fill check on a dense kernel, the exact rational
 random-update kernel, the hardcore lumping maps, the TV distance of
 two distributions, the random-update grand coupling with every
-update through the full site update, and the alternating-scan grand
+update through the full site update, the alternating-scan grand
 coupling run one replicate at a time with every site through the full
-half-scan step.
+half-scan step, and ergodicity as a strong-connectivity test in
+scipy.sparse.csgraph, for a kernel and for the scan on a joint table.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import expit
 
 from scangibbs import chain, coupling, mixing
@@ -240,6 +242,30 @@ def stationary_projector(space: StateSpace) -> Kernel:
     return Kernel(np.tile(space.pi, (space.size, 1)), UNIT_COMPOSITE, "S_pi")
 
 
+def is_ergodic(kernel: Kernel | sp.csr_array) -> bool:
+    """Irreducibility via strong connectivity; aperiodicity via a self-loop.
+
+    Takes a Kernel or a sparse matrix whose positive entries are the
+    moves of the chain. A positive diagonal entry suffices for
+    aperiodicity of an irreducible chain, which covers every kernel
+    built here; a chain without one is reported as not ergodic.
+    """
+    matrix = kernel.matrix if isinstance(kernel, Kernel) else kernel
+    support = sp.csr_array(matrix > 0.0)
+    n_comp, _ = connected_components(support, directed=True, connection="strong")
+    return bool(n_comp == 1 and support.diagonal().any())
+
+
+def scan_is_ergodic(joint: np.ndarray) -> bool:
+    """Whether the bipartite graph with an edge x1 - x2 wherever J > 0 is
+    connected, by is_ergodic on its adjacency with a self-loop at every node.
+    """
+    support = sp.csr_array(joint > 0.0)
+    n1, n2 = joint.shape
+    return is_ergodic(sp.block_array([[sp.eye_array(n1), support],
+                                      [support.T, sp.eye_array(n2)]], format="csr"))
+
+
 def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
     """D^{1/2} P D^{-1/2} of a sparse reversible P in scipy.sparse operations,
     the reference for spectral.random_update_symmetric.
@@ -256,7 +282,7 @@ def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
     asym = abs(m - m.T).max()
     if asym > _SYMMETRY_TOL:
         raise NumericalError(f"kernel not symmetric after conjugation: asymmetry {asym}")
-    if not chain.is_ergodic(matrix):
+    if not is_ergodic(matrix):
         raise NonErgodicError("kernel is not ergodic")
     return 0.5 * (m + m.T)
 
@@ -275,7 +301,7 @@ def verify_fill_inequality(kernel: Kernel, space: StateSpace) -> dict:
     Checks TV(P^t(s,.), pi)^2 <= (1 - gap(R(P)))^t / pi(s) at
     t = 1, 2, 4, ..., 32 with the margins of mixing._fill_report.
     """
-    if not chain.is_ergodic(kernel):
+    if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
     rev = chain.reversibilization(kernel, space)
     contraction = deviation_norm(rev, space)  # equals 1 - gap(R(P))

@@ -8,8 +8,10 @@ import scipy.sparse as sp
 import scangibbs as sg
 from scangibbs import chain, spectral
 from scangibbs.chain import StateSpaceCapError
+from scangibbs.lumped import lumped_as_kernel, lumped_ru_kernel
 from scangibbs.spectral import NonErgodicError
 
+import oracles
 from oracles import (
     conditional_distribution,
     model_from_edges,
@@ -259,14 +261,39 @@ def test_ergodicity_identity_kernel():
     # every state holds: self-loops everywhere, but reducible
     identity = chain.Kernel(np.eye(3), chain.UNIT_COMPOSITE, "I")
     assert not chain.is_ergodic(identity)
-    assert not chain.is_ergodic(sp.eye_array(3, format="csr"))
 
 
 def test_ergodicity_periodic_two_cycle():
     # irreducible, but every return takes an even number of steps
     flip = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not chain.is_ergodic(chain.Kernel(flip, chain.UNIT_COMPOSITE, "flip"))
-    assert not chain.is_ergodic(sp.csr_array(flip))
+
+
+@pytest.mark.parametrize("n", range(1, 51))
+def test_ergodicity_of_lumped_kernels_matches_csgraph(n):
+    # The lumped random update moves one step along a path of 2n + 1
+    # states, so reaching them all from state 0 takes about n sweeps.
+    for kernel in (lumped_ru_kernel(n, lazy=True), lumped_ru_kernel(n, lazy=False),
+                   lumped_as_kernel(n)):
+        assert chain.is_ergodic(kernel) is oracles.is_ergodic(kernel) is True, kernel.label
+
+
+@pytest.mark.parametrize("matrix,ergodic", [
+    ([[1.0]], True),
+    (np.eye(3), False),
+    ([[0.0, 1.0], [1.0, 0.0]], False),
+    (np.kron(np.eye(2), np.full((2, 2), 0.5)), False),
+    # weakly but not strongly connected: state 1 reaches state 0, which
+    # never leaves, so only the sweep from state 0 along the moves fails
+    ([[1.0, 0.0], [0.5, 0.5]], False),
+    # and the other way round, so only the sweep against the moves fails
+    ([[0.5, 0.5], [0.0, 1.0]], False),
+    ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]], True),
+], ids=["single_state", "identity", "two_cycle", "block_diagonal", "one_way_into_0",
+        "one_way_out_of_0", "three_cycle"])
+def test_ergodicity_of_small_kernels_matches_csgraph(matrix, ergodic):
+    kernel = chain.Kernel(np.asarray(matrix, dtype=float), chain.UNIT_COMPOSITE, "K")
+    assert chain.is_ergodic(kernel) is oracles.is_ergodic(kernel) is ergodic
 
 
 def test_stationarity_of_all_kernels(rbm):

@@ -280,19 +280,20 @@ _LINALG = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
           "--no-lazy"], (), (_STATS, _SPECIAL, *_LINALG)),
         (["coupling", *_SIX, "--samplers", "random_update", "--replicates", "2",
           "--no-lazy"], (), (_STATS, _SPECIAL, *_LINALG)),
-        (["spectral", "--model", "hardcore_knn", "--n", "2"], ("scipy.sparse.csgraph",),
-         (_STATS, _SPECIAL)),
+        (["spectral", "--model", "hardcore_knn", "--n", "2"], (),
+         (_STATS, _SPECIAL, *_LINALG)),
         (["lumped", "--n-min", "2", "--n-max", "3"], (_STATS,), ()),
     ],
     ids=["import", "coupling", "coupling_random_update", "spectral", "lumped"],
 )
 def test_fresh_process_loads_scipy_modules_only_where_they_run(tmp_path, argv, loads, skips):
     # Importing scipy.stats more than doubles the start-up time, and only
-    # lumped_as_kernel reads it. csgraph and ARPACK, which bring in
-    # scipy.linalg, are imported by the analyses that call them, so
-    # neither `import scangibbs` nor a coupling run loads them. Both
-    # coupling samplers evaluate their conditional with numpy and
-    # math.exp, so nothing but scipy.stats loads scipy.special. This
+    # lumped_as_kernel reads it. No module of the package imports csgraph,
+    # and ARPACK, which brings in scipy.linalg, is imported only above 128
+    # states, so neither `import scangibbs`, a coupling run nor a small
+    # spectral run loads them. Both coupling samplers evaluate their
+    # conditional with numpy and math.exp, so nothing but scipy.stats
+    # loads scipy.special. This
     # process may have loaded them already, so each case runs in a fresh
     # interpreter.
     script = "import sys\nimport scangibbs\n"

@@ -443,7 +443,7 @@ def test_active_start_search_squares_sparsely_while_sparse(monkeypatch):
 
 def test_active_start_search_rejects_non_ergodic():
     # pi of (x1, x2) = (0, 1) underflows to 0; the search takes S from
-    # random_update_symmetric, which checks ergodicity
+    # random_update_symmetric, which rejects a zero in pi
     model = sg.build_rbm(np.zeros((1, 1)), [400.0], [-400.0])
     space = sg.enumerate_state_space(model)
     with pytest.raises(sg.spectral.NonErgodicError):

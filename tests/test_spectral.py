@@ -238,6 +238,56 @@ def test_scan_correlation_rejects_disconnected_support():
             analysis(joint)
 
 
+def _scan_is_ergodic(joint):
+    table = chain.JointTable(joint, joint.sum(axis=1), joint.sum(axis=0), None, None)
+    try:
+        spectral.check_scan_ergodic(table)
+    except NonErgodicError:
+        return False
+    return True
+
+
+def _model_joint(model):
+    return chain.joint_table(model, sg.enumerate_state_space(model)).joint
+
+
+@pytest.mark.parametrize("joint,ergodic", [
+    (np.ones((1, 1)), True),
+    (np.kron(np.eye(2), np.full((2, 2), 1.0 / 8.0)), False),
+    # row 0 reaches every column, but no column reaches row 1
+    (np.array([[0.5, 0.5], [0.0, 0.0]]), False),
+    (np.array([[0.5, 0.0], [0.5, 0.0]]), False),
+    # a staircase: each sweep adds one row
+    (np.array([[0.2, 0.2, 0.0], [0.0, 0.2, 0.2], [0.0, 0.0, 0.2]]), True),
+    # pi of (0, 1) underflows to 0; J stays connected
+    (_model_joint(sg.build_rbm(np.zeros((1, 1)), [400.0], [-400.0])), True),
+    (_model_joint(sg.build_rbm(np.zeros((2, 1)), [400.0, 0.0], [-400.0])), True),
+    # pi of (0, 1) and (1, 0) underflow to 0: J is diagonal
+    (_model_joint(sg.build_rbm(np.array([[2100.0]]), [-700.0], [-700.0])), False),
+    *[(_model_joint(sg.build_hardcore_complete_bipartite(n)), True) for n in range(1, 7)],
+], ids=["one_by_one", "block_diagonal", "zero_row", "zero_column", "staircase",
+        "underflow_1x1", "underflow_2x1", "underflow_diagonal",
+        *[f"hardcore_k{n}{n}" for n in range(1, 7)]])
+def test_scan_ergodicity_matches_csgraph(joint, ergodic):
+    assert _scan_is_ergodic(joint) is oracles.scan_is_ergodic(joint) is ergodic
+
+
+def test_scan_ergodicity_matches_csgraph_on_engine_models(engine_models):
+    for model in engine_models:
+        joint = _model_joint(model)
+        assert _scan_is_ergodic(joint) is oracles.scan_is_ergodic(joint) is True, model.label
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+def test_random_update_symmetric_form_is_ergodic(engine_models, lazy):
+    # pi > 0 makes S irreducible and aperiodic (README, "Random-update
+    # spectrum"), so random_update_symmetric runs no graph search
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        symmetric = spectral.random_update_symmetric(model, space, lazy)
+        assert oracles.is_ergodic(symmetric), model.label
+
+
 def test_verify_theorem1_repeats_bit_for_bit():
     model = sg.random_bipartite_model(4, 4, 12, -2.0, 2.0, seed=5)
     assert sg.enumerate_state_space(model).size > spectral._DENSE_EIGEN_MAX
