@@ -175,12 +175,11 @@ def _lumped(args):
     for n in range(args.n_min, args.n_max + 1):
         space = lumped.lumped_state_space(n)
         model_id = f"hardcore_knn_lumped:{n}"
-        kernels = {
-            "random_update": lumped.lumped_ru_kernel(n, lazy=args.lazy),
-            "alternating_scan": lumped.lumped_as_kernel(n),
-        }
         for sampler in _samplers(args):
-            kernel = kernels[sampler]
+            if sampler == "random_update":
+                kernel = lumped.lumped_ru_kernel(n, lazy=args.lazy)
+            else:
+                kernel = lumped.lumped_as_kernel(n)
             report = spectral.relaxation_time(kernel, space)
             summary.append(
                 ("lumped", model_id, sampler, kernel.unit, "gap", report.gap)

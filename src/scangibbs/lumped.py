@@ -98,11 +98,13 @@ def lumped_as_kernel(n: int) -> Kernel:
     """
     if n < 1:
         raise LumpingError("n must be at least 1")
-    # Imported here so that every command but `lumped` starts without scipy.stats.
-    from scipy.stats import binom
+    # The Boost ufunc that scipy.stats.binom.pmf calls: the same bits, which
+    # the golden lumped values pin, without importing scipy.stats. Imported
+    # here so that only this kernel loads scipy.special.
+    from scipy.special._ufuncs import _binom_pmf
 
     size = 2 * n + 1
-    b = binom.pmf(np.arange(n + 1), n, 0.5)
+    b = _binom_pmf(np.arange(n + 1), n, 0.5)
     matrix = np.zeros((size, size))
 
     # From any L-side state (including empty): the L scan draws

@@ -282,20 +282,23 @@ _LINALG = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
           "--no-lazy"], (), (_STATS, _SPECIAL, *_LINALG)),
         (["spectral", "--model", "hardcore_knn", "--n", "2"], (),
          (_STATS, _SPECIAL, *_LINALG)),
-        (["lumped", "--n-min", "2", "--n-max", "3"], (_STATS,), ()),
+        (["lumped", "--n-min", "2", "--n-max", "3"], (_SPECIAL,), (_STATS, *_LINALG)),
+        (["lumped", "--n-min", "2", "--n-max", "3", "--samplers", "random_update"], (),
+         (_STATS, _SPECIAL, *_LINALG)),
     ],
-    ids=["import", "coupling", "coupling_random_update", "spectral", "lumped"],
+    ids=["import", "coupling", "coupling_random_update", "spectral", "lumped",
+         "lumped_random_update"],
 )
 def test_fresh_process_loads_scipy_modules_only_where_they_run(tmp_path, argv, loads, skips):
-    # Importing scipy.stats more than doubles the start-up time, and only
-    # lumped_as_kernel reads it. No module of the package imports csgraph,
-    # and ARPACK, which brings in scipy.linalg, is imported only above 128
-    # states, so neither `import scangibbs`, a coupling run nor a small
-    # spectral run loads them. Both coupling samplers evaluate their
-    # conditional with numpy and math.exp, so nothing but scipy.stats
-    # loads scipy.special. This
-    # process may have loaded them already, so each case runs in a fresh
-    # interpreter.
+    # Importing scipy.stats more than doubles the start-up time; no module
+    # of the package imports it. lumped_as_kernel reads its binomial row
+    # from scipy.special, so only a lumped run with the scan sampler loads
+    # that. No module of the package imports csgraph, and ARPACK, which
+    # brings in scipy.linalg, is imported only above 128 states, so neither
+    # `import scangibbs`, a coupling run, a lumped run nor a small spectral
+    # run loads them. Both coupling samplers evaluate their conditional with
+    # numpy and math.exp. This process may have loaded these modules
+    # already, so each case runs in a fresh interpreter.
     script = "import sys\nimport scangibbs\n"
     if argv is not None:
         script += (f"from scangibbs import cli\n"

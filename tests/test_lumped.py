@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special._ufuncs import _binom_pmf
 from scipy.stats import binom
 
 import scangibbs as sg
@@ -78,6 +79,14 @@ def test_lumped_scan_table_is_scipy_binom_pmf(n):
     matrix = lumped_as_kernel(n).matrix
     assert np.all(matrix[:n + 1] == row_l / row_l.sum())
     assert np.all(matrix[n + 1:] == row_r / row_r.sum())
+
+
+def test_boost_binom_pmf_is_scipy_binom_pmf():
+    # lumped_as_kernel calls the ufunc behind binom.pmf directly; a scipy
+    # release in which the two differ would move the golden lumped values.
+    for n in range(1, 201):
+        k = np.arange(n + 1)
+        assert np.array_equal(_binom_pmf(k, n, 0.5), binom.pmf(k, n, 0.5)), n
 
 
 def test_lumped_ru_reversible():
