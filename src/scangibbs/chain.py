@@ -14,6 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
+    _ENUMERATION_LIMIT,
     BipartiteModel,
     HAMILTONIAN_RANGE,
     HamiltonianRangeError,
@@ -25,9 +26,6 @@ UNIT_EPOCH = "epoch"
 UNIT_COMPOSITE = "composite"
 
 DEFAULT_CAP = 4096
-# Hard limit on the full configuration grid we are willing to sweep while
-# enumerating the support; larger instances belong to the lumped module.
-_ENUMERATION_LIMIT = 1 << 22
 
 _ROW_SUM_TOL = 1e-12
 _NEGATIVE_TOL = 1e-15

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from math import exp
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import BipartiteModel, ModelError, philox_key
 
@@ -154,6 +153,10 @@ def _scan_halves(model: BipartiteModel, bias: np.ndarray) -> tuple:
     entries by ascending first-partition index. lo and hi are `_bounds`,
     with fmax summed in the order its field sums in.
     """
+    # Imported here: only the scan builds a sparse matrix, so a
+    # random-update coupling loads no scipy.
+    import scipy.sparse as sp
+
     n1, n = model.n1, model.n
     cross = sp.csr_array(
         (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),

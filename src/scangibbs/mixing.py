@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import chain
 from .chain import Kernel, StateSpace, is_ergodic
@@ -254,7 +253,7 @@ def _symmetric_square(square):
     half the flops of a general product, and a symmetric result. Every
     power of the entrywise nonnegative S is nonnegative.
     """
-    if not sp.issparse(square):
+    if isinstance(square, np.ndarray):
         return square @ square.T
     product = square @ square
     n = product.shape[0]
@@ -283,7 +282,7 @@ def _symmetric_deviation(rows, starts, r) -> np.ndarray:
     for lo in range(0, len(starts), step):
         # Slicing a sparse matrix copies it, so a single block is not sliced.
         block = rows if len(starts) <= step else rows[lo : lo + step]
-        if sp.issparse(block):
+        if not isinstance(block, np.ndarray):
             block = block.toarray()
         scale = r[starts[lo : lo + step]]
         out = np.multiply(scale[:, None], r, out=buffer[: len(scale)])

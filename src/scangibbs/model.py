@@ -16,6 +16,13 @@ import numpy as np
 # needs finite weights, so we refuse rather than emit inf.
 HAMILTONIAN_RANGE = 700.0
 
+# Hard limit on the full configuration grid we are willing to sweep while
+# enumerating the support; larger instances belong to the lumped module.
+_ENUMERATION_LIMIT = 1 << 22
+# K_{n,n} has a 2^(2n)-cell grid, so no exact analysis takes a larger n,
+# and coupling refuses the hard constraint: n <= 11.
+_HARDCORE_N_MAX = (_ENUMERATION_LIMIT.bit_length() - 1) // 2
+
 
 class ModelError(ValueError):
     """Invalid model construction or invalid query against a model."""
@@ -208,6 +215,12 @@ def build_hardcore_complete_bipartite(n: int) -> BipartiteModel:
     """Uniform independent sets of the complete bipartite graph K_{n,n}."""
     if n < 1:
         raise ModelError("n must be at least 1")
+    if n > _HARDCORE_N_MAX:
+        raise ModelError(
+            f"n={n} gives a 2^{2 * n}-cell configuration grid, above the limit "
+            f"2^{2 * _HARDCORE_N_MAX} of the exact analyses; n must be at most "
+            f"{_HARDCORE_N_MAX} (the lumped command covers larger n)"
+        )
     i, j = _all_pairs(n, n)
     unaries = np.zeros((2 * n, 2))
     return BipartiteModel(

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .chain import (
     Kernel,
@@ -209,6 +208,10 @@ def random_update_symmetric(
     rows.append(states)
     cols.append(states)
     values.append(diagonal / n)
+    # Imported here: only the paths that build a sparse matrix load
+    # scipy.sparse, so `import scangibbs` loads no scipy.
+    import scipy.sparse as sp
+
     symmetric = sp.csr_array(
         (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
     )

@@ -267,48 +267,51 @@ _SIX = ["--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
         "--weight-low", "0", "--weight-high", "0.3", "--seed", "1"]
 
 
-_STATS = "scipy.stats"
-_SPECIAL = "scipy.special"
-_LINALG = ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg")
+_SPARSE = {"scipy", "scipy.sparse"}
+_ARPACK = {*_SPARSE, "scipy.sparse.linalg", "scipy.linalg"}
 
 
 @pytest.mark.parametrize(
-    "argv,loads,skips",
+    "argv,footprint",
     [
-        (None, (), (_STATS, _SPECIAL, *_LINALG)),
+        (None, set()),
         (["coupling", *_SIX, "--samplers", "alternating_scan", "--replicates", "2",
-          "--no-lazy"], (), (_STATS, _SPECIAL, *_LINALG)),
+          "--no-lazy"], _SPARSE),
         (["coupling", *_SIX, "--samplers", "random_update", "--replicates", "2",
-          "--no-lazy"], (), (_STATS, _SPECIAL, *_LINALG)),
-        (["spectral", "--model", "hardcore_knn", "--n", "2"], (),
-         (_STATS, _SPECIAL, *_LINALG)),
-        (["lumped", "--n-min", "2", "--n-max", "3"], (_SPECIAL,), (_STATS, *_LINALG)),
-        (["lumped", "--n-min", "2", "--n-max", "3", "--samplers", "random_update"], (),
-         (_STATS, _SPECIAL, *_LINALG)),
+          "--no-lazy"], set()),
+        (["spectral", "--model", "hardcore_knn", "--n", "2"], _SPARSE),
+        (["spectral", "--model", "random_rbm", "--n1", "5", "--n2", "5", "--m", "20",
+          "--seed", "1", "--samplers", "random_update"], _ARPACK),
+        (["mixing", "--model", "hardcore_knn", "--n", "3", "--samplers", "alternating_scan"],
+         set()),
+        (["lumped", "--n-min", "2", "--n-max", "3"], {"scipy", "scipy.special"}),
+        (["lumped", "--n-min", "2", "--n-max", "3", "--samplers", "random_update"], set()),
     ],
-    ids=["import", "coupling", "coupling_random_update", "spectral", "lumped",
-         "lumped_random_update"],
+    ids=["import", "coupling", "coupling_random_update", "spectral", "spectral_arpack",
+         "mixing_scan", "lumped", "lumped_random_update"],
 )
-def test_fresh_process_loads_scipy_modules_only_where_they_run(tmp_path, argv, loads, skips):
-    # Importing scipy.stats more than doubles the start-up time; no module
-    # of the package imports it. lumped_as_kernel reads its binomial row
-    # from scipy.special, so only a lumped run with the scan sampler loads
-    # that. No module of the package imports csgraph, and ARPACK, which
-    # brings in scipy.linalg, is imported only above 128 states, so neither
-    # `import scangibbs`, a coupling run, a lumped run nor a small spectral
-    # run loads them. Both coupling samplers evaluate their conditional with
-    # numpy and math.exp. This process may have loaded these modules
-    # already, so each case runs in a fresh interpreter.
+def test_fresh_process_loads_scipy_modules_only_where_they_run(tmp_path, argv, footprint):
+    # A run's scipy footprint is the set of public scipy packages it loads;
+    # any scipy module loads the package `scipy`, so an empty footprint means
+    # no scipy module at all. Importing scipy.sparse costs about as much as
+    # `import scangibbs` without it, so only the code that builds a sparse
+    # matrix imports it: the random-update symmetric form and the scan
+    # coupling's weights. lumped_as_kernel reads its binomial row from
+    # scipy.special, so only a lumped run with the scan sampler loads that.
+    # ARPACK, which brings in scipy.linalg, is imported only above 128
+    # states. No module imports scipy.stats or csgraph. This process may
+    # have loaded these modules already, so each case runs in a fresh
+    # interpreter.
     script = "import sys\nimport scangibbs\n"
     if argv is not None:
         script += (f"from scangibbs import cli\n"
                    f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0\n")
-    script += "print(*sorted(sys.modules))\n"
+    script += ("print(*sorted(name for name, module in sys.modules.items()\n"
+               "             if name.split('.')[0] == 'scipy' and '._' not in name\n"
+               "             and hasattr(module, '__path__')))\n")
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    loaded = set(result.stdout.split())
-    assert set(loads) <= loaded
-    assert not set(skips) & loaded
+    assert set(result.stdout.split()) == footprint
 
 
 def _fail_mixing_stage(monkeypatch, tmp_path, exc):
@@ -383,6 +386,10 @@ _MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
     ["spectral", "--model-file", {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 1,
                                   "weight_low": 0.0, "weight_high": 1.0, "seed": None}],
     ["spectral", "--model-file", {"kind": "hardcore_knn", "n": [1]}],
+    # K_{n,n} beyond the enumeration limit, refused before its n^2 edges exist
+    ["spectral", "--model", "hardcore_knn", "--n", "12"],
+    ["spectral", "--model", "hardcore_knn", "--n", str(2 ** 40)],
+    ["mixing", "--model-file", {"kind": "hardcore_knn", "n": 2 ** 40}],
     # flags the subcommand does not read
     ["lumped", "--seed", "3"],
     ["coupling", "--model", "hardcore_knn", "--seed", "1", "--cap", "8"],

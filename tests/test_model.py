@@ -189,6 +189,18 @@ def test_build_hardcore_counts():
     assert space.pi == pytest.approx([1 / 15] * 15)
 
 
+def test_build_hardcore_refuses_n_beyond_the_enumeration_limit():
+    # K_{n,n} has a 2^(2n)-cell grid: n = 11 fills the enumeration limit
+    # 2^22 and n = 12 exceeds it, so the builder refuses n = 12 onwards
+    # before it allocates its n^2 edges. numpy refuses the arrays of
+    # n = 2^40 at once, so that case raises ModelError only if the check
+    # comes first.
+    assert sg.enumerate_state_space(sg.build_hardcore_complete_bipartite(11)).size == 4095
+    for n in (12, 2 ** 40):
+        with pytest.raises(ModelError, match="at most 11"):
+            sg.build_hardcore_complete_bipartite(n)
+
+
 def test_random_model_zero_edges():
     model = sg.random_bipartite_model(3, 3, 0, 0.0, 1.0, seed=1)
     assert model.edges == ()
