@@ -171,6 +171,7 @@ def _mixing(args):
 def _lumped(args):
     if args.n_min > args.n_max:
         raise lumped.LumpingError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}")
+    lumped._check_n(args.n_max)
     summary, curve = [], []
     for n in range(args.n_min, args.n_max + 1):
         space = lumped.lumped_state_space(n)

@@ -74,6 +74,20 @@ def test_lumped_subcommand(tmp_path):
     assert mixing_times[("hardcore_knn_lumped:4", "alternating_scan")] == "9"
 
 
+def test_lumped_refuses_n_max_above_the_limit_before_the_sweep(tmp_path, monkeypatch, capsys):
+    # From n = 1022, pi(L,0) = 1/(2^(n+1) - 1) is subnormal; the sweep is
+    # refused before its first lumped state space is built.
+    built = []
+    monkeypatch.setattr(cli.lumped, "lumped_state_space", built.append)
+    out = tmp_path / "out"
+    argv = ["lumped", "--n-min", "2", "--n-max", "1022", "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "1021" in err and "Traceback" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+    assert built == []
+
+
 def test_coupling_subcommand(tmp_path):
     code = run_cli(
         [

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,6 @@ from scangibbs import chain, lumped, mixing, spectral
 from scangibbs.lumped import (
     LumpingError,
     lumped_as_kernel,
-    lumped_index,
     lumped_ru_kernel,
     lumped_state_space,
 )
@@ -25,15 +26,37 @@ from oracles import (
 )
 
 
-def test_lumped_index_layout():
-    assert lumped_index(3, "L", 0) == 0
-    assert lumped_index(3, "L", 3) == 3
-    assert lumped_index(3, "R", 1) == 4
-    assert lumped_index(3, "R", 0) == 0  # shared empty set
-    with pytest.raises(LumpingError):
-        lumped_index(3, "L", 4)
-    with pytest.raises(LumpingError):
-        lumped_index(3, "X", 1)
+def _lumped_digest(n_max):
+    digest = hashlib.sha256()
+    for n in range(1, n_max + 1):
+        space = lumped_state_space(n)
+        digest.update(space.pi.astype("<f8").tobytes())
+        digest.update(space.configs.astype("<i8").tobytes())
+        for kernel in (lumped_ru_kernel(n, lazy=True), lumped_ru_kernel(n, lazy=False),
+                       lumped_as_kernel(n)):
+            digest.update(kernel.matrix.astype("<f8").tobytes())
+            digest.update(f"{kernel.label} {kernel.unit}\n".encode())
+    return digest.hexdigest()
+
+
+def test_lumped_bits_are_pinned():
+    # The golden lumped values depend on these bits. The digest was taken by
+    # running _lumped_digest(60) on commit 19c1ece, whose lumped_state_space
+    # and kernels were still filled one entry at a time; the array formulas
+    # must reproduce pi, the state order and every kernel entry exactly.
+    assert _lumped_digest(60) == (
+        "5bd033492366999c97d80a5e9aefb692d68662559290a06613390087d5f65645")
+
+
+def test_lumped_size_limit_is_where_pi_stays_normal():
+    # pi(L,0) = 1/(2^(n+1) - 1) is the least entry of pi; it is a normal
+    # float64 up to n = 1021 and subnormal from n = 1022.
+    assert lumped_state_space(1021).pi.min() >= sys.float_info.min
+    assert float(Fraction(1, 2 ** 1023 - 1)) < sys.float_info.min
+    for build in (lumped_state_space, lumped_ru_kernel, lumped_as_kernel):
+        for n in (0, 1022):
+            with pytest.raises(LumpingError, match="between 1 and 1021"):
+                build(n)
 
 
 def test_lumped_state_space_pi():
@@ -212,6 +235,10 @@ def test_lumped_ru_mixing_time_certified_high_precision(n):
     ).mixing_time
 
     with mpmath.workdps(60):
+        # States (L,0..n), then (R,1..n); the empty set is (L,0).
+        def index(side, k):
+            return k + n * (side == "R" and k > 0)
+
         # Exact entries: from count k on a side, free an occupied vertex
         # w.p. k/(4n), occupy a free one w.p. (n-k)/(4n); the empty set
         # moves to (L,1) or (R,1) w.p. 1/4 each.
@@ -219,17 +246,16 @@ def test_lumped_ru_mixing_time_certified_high_precision(n):
         kernel = np.full((size, size), mpmath.mpf(0), dtype=object)
         for side in ("L", "R"):
             for k in range(1, n + 1):
-                i = lumped_index(n, side, k)
+                i = index(side, k)
                 down = mpmath.mpf(k) / (4 * n)
                 up = mpmath.mpf(n - k) / (4 * n)
-                kernel[i, lumped_index(n, side, k - 1)] += down
+                kernel[i, index(side, k - 1)] += down
                 if k < n:
-                    kernel[i, lumped_index(n, side, k + 1)] += up
+                    kernel[i, index(side, k + 1)] += up
                 kernel[i, i] += 1 - down - up
-        empty = lumped_index(n, "L", 0)
-        kernel[empty, empty] = mpmath.mpf(1) / 2
-        kernel[empty, lumped_index(n, "L", 1)] = mpmath.mpf(1) / 4
-        kernel[empty, lumped_index(n, "R", 1)] = mpmath.mpf(1) / 4
+        kernel[0, 0] = mpmath.mpf(1) / 2
+        kernel[0, index("L", 1)] = mpmath.mpf(1) / 4
+        kernel[0, index("R", 1)] = mpmath.mpf(1) / 4
         total = 2 * 2 ** n - 1
         counts = list(range(n + 1)) + list(range(1, n + 1))
         pi = np.array([mpmath.mpf(math.comb(n, k)) / total for k in counts], dtype=object)
