@@ -10,7 +10,6 @@ from .model import (
     model_from_dict,
     model_from_json,
     random_bipartite_model,
-    validate_bipartite,
 )
 from .chain import (
     Kernel,

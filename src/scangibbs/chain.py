@@ -18,7 +18,6 @@ from .model import (
     BipartiteModel,
     HAMILTONIAN_RANGE,
     HamiltonianRangeError,
-    validate_bipartite,
 )
 
 UNIT_VARIABLE = "variable_update"
@@ -116,10 +115,9 @@ def make_kernel(matrix: np.ndarray, unit: str, label: str) -> Kernel:
 def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> StateSpace:
     """All configurations with positive weight, with normalized pi."""
     n, S = model.n, model.domain_size
-    total = S ** n
-    if total > _ENUMERATION_LIMIT:
+    if S ** n > _ENUMERATION_LIMIT:
         raise StateSpaceCapError(
-            f"full configuration grid of size {total} is too large to sweep; "
+            f"full configuration grid of size {S}^{n} is too large to sweep; "
             "use the lumped module for large symmetric instances"
         )
     # The support is marked on the grid (S,) * n; a state's key is its
@@ -183,7 +181,6 @@ def joint_table(model: BipartiteModel, space: StateSpace) -> JointTable:
     independent, so one partition's scan draws it exactly from its
     conditional law.
     """
-    validate_bipartite(model)
     S = space.domain_size
     joint = np.zeros(S ** model.n)
     joint[space.keys] = space.pi

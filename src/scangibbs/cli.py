@@ -106,8 +106,12 @@ def _resolve_model(args) -> model_mod.BipartiteModel:
             args.n1, args.n2, m, args.weight_low, args.weight_high, args.seed
         )
     if kind == "zero_rbm":
-        return model_mod.build_rbm(
-            np.zeros((args.n1, args.n2)), np.zeros(args.n1), np.zeros(args.n2)
+        # Zero weights and biases: zero factors change no number, so no
+        # edges are stored and every unary is 0.
+        no_edges = np.zeros(0, dtype=np.int64)
+        return model_mod.BipartiteModel(
+            args.n1, args.n2, 2, no_edges, no_edges, np.zeros((0, 2, 2)),
+            np.zeros((args.n1 + args.n2, 2)), label="rbm",
         )
     raise model_mod.ModelError(f"unknown inline model kind {kind!r}")
 

@@ -174,17 +174,6 @@ def _stream(key, rep: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)]))
 
 
-def _start_vector(value, default: int, n: int, name: str) -> np.ndarray:
-    if value is None:
-        return np.full(n, default, dtype=np.int8)
-    arr = np.asarray(value)
-    if arr.shape != (n,):
-        raise ModelError(f"{name} must have shape ({n},), got {arr.shape}")
-    if arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
-        raise ModelError(f"{name} entries must be exactly 0 or 1")
-    return arr.astype(np.int8)
-
-
 def grand_coupling_time(
     model: BipartiteModel,
     sampler: str,
@@ -192,10 +181,9 @@ def grand_coupling_time(
     replicates: int,
     max_updates: int,
     lazy: bool = False,
-    start_top=None,
-    start_bottom=None,
 ) -> CouplingReport:
-    """Coalescence-time distribution over independent replicates.
+    """Coalescence-time distribution over independent replicates, each
+    from the all-ones top chain and the all-zeros bottom chain.
 
     Times are reported in variable updates and never exceed max_updates;
     the alternating scan checks coalescence only at epoch boundaries, so
@@ -211,21 +199,15 @@ def grand_coupling_time(
     if max_updates < 0:
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     key = philox_key(seed)
-    n = model.n
-    top0 = _start_vector(start_top, 1, n, "start_top")
-    bot0 = _start_vector(start_bottom, 0, n, "start_bottom")
-    if np.any(top0 < bot0):
-        raise ModelError("top start must dominate bottom start coordinatewise")
-
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     if sampler == SAMPLER_RANDOM_UPDATE:
         nbrs, fmax = _neighbors(model)
         view = (bias.tolist(), nbrs, *_bounds(bias, fmax))
-        times = [_run_random_update(*view, _stream(key, rep), max_updates, lazy, top0, bot0)
+        times = [_run_random_update(*view, _stream(key, rep), max_updates, lazy)
                  for rep in range(replicates)]
     else:
-        times = _run_alternating_scan(_scan_halves(model, bias), key, replicates,
-                                      max_updates, lazy, top0, bot0)
+        times = _run_alternating_scan(_scan_halves(model, bias), key, model.n, replicates,
+                                      max_updates, lazy)
     done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
     samples = tuple(time for time, _ in done)
     truncated = replicates - len(samples)
@@ -283,11 +265,11 @@ def _draws(rng, n: int, size: int, lazy: bool):
     return sites, uniforms, holds
 
 
-def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy, top0, bot0):
+def _run_random_update(bias, nbrs, lo, hi, rng, max_updates, lazy):
     n = len(bias)
-    top = top0.tolist()
-    bottom = bot0.tolist()
-    disagreements = int(np.sum(top0 != bot0))
+    top = [1] * n
+    bottom = [0] * n
+    disagreements = n
     updates = 0
     while disagreements and updates < max_updates:
         block = min(_RNG_BLOCK, max_updates - updates)
@@ -388,7 +370,7 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0) -> list:
+def _run_alternating_scan(halves, key, n, replicates, max_updates, lazy) -> list:
     """Coalescence time of each replicate, or None where truncated.
 
     Replicates run in blocks of B (`_scan_block`). The calling thread and
@@ -400,7 +382,6 @@ def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0
     re-raises it. Helpers call only private functions, so a tracer that
     wraps the public ones sees every span on the calling thread.
     """
-    n = top0.size
     width = max(1, _SCAN_BLOCK_ELEMENTS // n)
     firsts = range(0, replicates, width)
     pending = iter(firsts)
@@ -417,7 +398,7 @@ def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0
                 return
             reps = np.arange(first, min(first + width, replicates))
             try:
-                _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times)
+                _scan_block(halves, key, reps, n, max_updates, lazy, draws, times)
             except BaseException as exc:  # re-raised by the calling thread
                 with lock:
                     errors.append(exc)
@@ -434,7 +415,7 @@ def _run_alternating_scan(halves, key, replicates, max_updates, lazy, top0, bot0
     return times
 
 
-def _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times) -> None:
+def _scan_block(halves, key, reps, n, max_updates, lazy, draws, times) -> None:
     """Run the replicates `reps` as one block and write their entries of
     `times`.
 
@@ -445,10 +426,9 @@ def _scan_block(halves, key, reps, max_updates, lazy, top0, bot0, draws, times) 
     `_scan_update` and must stay equal; one still apart leaves when its
     next epoch would pass the cap.
     """
-    n = top0.size
     rngs = [_stream(key, rep) for rep in reps]
-    top = np.repeat(top0[:, None], reps.size, axis=1)
-    bottom = np.repeat(bot0[:, None], reps.size, axis=1)
+    top = np.ones((n, reps.size), dtype=np.int8)
+    bottom = np.zeros((n, reps.size), dtype=np.int8)
     checking = np.zeros(reps.size, dtype=bool)
     updates = 0
     with np.errstate(over="ignore"):  # for `_below`, once per block

@@ -42,10 +42,13 @@ class BipartiteModel:
 
     Edge k joins edge_u[k], in the first partition, to edge_v[k], in the
     second; tables[k] is its (S, S) factor indexed by (value of u, value
-    of v). The three arrays, of shapes (m,), (m,) and (m, S, S), are the
-    only stored form of the edges; `edges` derives (u, v, table) triples
-    from them in edge order, for readers outside the package. unaries is
-    an (n, S) array. The only built-in hard constraint is "hardcore": no
+    of v). An edge given from the second partition to the first is stored
+    the other way round, with its table transposed, so edge_u < n1 <=
+    edge_v holds for every model; one within a partition is refused. The
+    three arrays, of shapes (m,), (m,) and (m, S, S), are the only stored
+    form of the edges; `edges` derives (u, v, table) triples from them in
+    edge order, for readers outside the package. unaries is an (n, S)
+    array. The only built-in hard constraint is "hardcore": no
     edge may have both endpoints at value 1. Models compare and hash by
     identity: field-wise equality of the arrays has no truth value.
     """
@@ -84,9 +87,6 @@ class BipartiteModel:
             raise ModelError(
                 f"factor tables have shape {tables.shape}, expected ({u.size}, {S}, {S})"
             )
-        object.__setattr__(self, "edge_u", u)
-        object.__setattr__(self, "edge_v", v)
-        object.__setattr__(self, "tables", tables)
         outside = (u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)
         if outside.any():
             k = int(np.argmax(outside))
@@ -95,6 +95,19 @@ class BipartiteModel:
         if not finite.all():
             k = int(np.argmin(finite))
             raise ModelError(f"edge ({u[k]}, {v[k]}) has a non-finite factor table")
+        same = (u < self.n1) == (v < self.n1)
+        if same.any():
+            bad = list(zip(u[same].tolist(), v[same].tolist()))
+            raise BipartiteStructureError(f"edges within a single partition: {bad}")
+        # Orient every edge from partition one to partition two.
+        swap = u >= self.n1
+        if swap.any():
+            u, v = np.where(swap, v, u), np.where(swap, u, v)
+            tables = tables.copy()
+            tables[swap] = tables[swap].transpose(0, 2, 1)
+        object.__setattr__(self, "edge_u", u)
+        object.__setattr__(self, "edge_v", v)
+        object.__setattr__(self, "tables", tables)
         if self.hard_constraint not in (None, "hardcore"):
             raise ModelError(f"unknown hard constraint {self.hard_constraint!r}")
 
@@ -115,17 +128,6 @@ def _endpoints(values) -> np.ndarray:
     if arr.size and arr.dtype.kind not in "iu":
         raise ModelError(f"edge endpoints must be integers, got dtype {arr.dtype}")
     return arr.astype(np.int64)
-
-
-def validate_bipartite(model: BipartiteModel) -> None:
-    """Raise BipartiteStructureError listing edges within one partition."""
-    u, v = model.edge_u, model.edge_v
-    same = (u < model.n1) == (v < model.n1)
-    if same.any():
-        bad = list(zip(u[same].tolist(), v[same].tolist()))
-        raise BipartiteStructureError(
-            f"edges within a single partition: {bad}"
-        )
 
 
 def _rbm_tables(weights: np.ndarray) -> np.ndarray:
@@ -194,15 +196,12 @@ def build_dbm(layer_sizes, interlayer_weights, biases, label: str = "dbm") -> Bi
         pos += sizes[k]
 
     # Edges run layer pair by layer pair, row-major in each weight matrix;
-    # the endpoint in the odd layer of the pair comes first.
+    # the model stores each from its endpoint in an odd layer.
     us, vs = [], []
     for k in range(len(weight_mats)):
         i, j = _all_pairs(sizes[k], sizes[k + 1])
-        a, b = offset[k] + i, offset[k + 1] + j
-        if k % 2:
-            a, b = b, a
-        us.append(a)
-        vs.append(b)
+        us.append(offset[k] + i)
+        vs.append(offset[k + 1] + j)
     edge_u, edge_v = np.concatenate(us), np.concatenate(vs)
     tables = _rbm_tables(np.concatenate([w.ravel() for w in weight_mats]))
     unaries = np.zeros((n1 + n2, 2))
@@ -345,15 +344,9 @@ def _mrf_from_dict(obj: dict) -> BipartiteModel:
     new_index = np.empty(n, dtype=np.int64)
     new_index[order] = np.arange(n)
     pairs = new_index[np.array(ends, dtype=np.int64).reshape(-1, 2)]
-    swap = (pairs[:, 0] >= n1) & (pairs[:, 1] < n1)
-    pairs[swap] = pairs[swap, ::-1]
-    tables[swap] = tables[swap].transpose(0, 2, 1)
-    model = BipartiteModel(
+    return BipartiteModel(
         n1, n - n1, S, pairs[:, 0], pairs[:, 1], tables, unary[order], label="mrf"
     )
-    validate_bipartite(model)
-    return model
-
 
 
 def _flat_table(table, S: int):

@@ -42,7 +42,6 @@ from scangibbs.model import (
     HamiltonianRangeError,
     ModelError,
     philox_key,
-    validate_bipartite,
 )
 from scangibbs.spectral import (
     _REVERSIBILITY_TOL,
@@ -207,7 +206,6 @@ def scan_kernels(model: BipartiteModel, space: StateSpace) -> dict[str, Kernel]:
     order, then all of partition two), the scan factors P_AS1/P_AS2, and
     the per-partition lazy random-update kernels P_GS1/P_GS2.
     """
-    validate_bipartite(model)
     n1, n = model.n1, model.n
     N = space.size
     sparse_ts = [single_site_sparse(space, x) for x in range(n)]
@@ -461,11 +459,11 @@ def _draws(rng, n: int, size: int, lazy: bool):
     return zip(sites, uniforms, holds)
 
 
-def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
+def _run_random_update(bias, nbrs, rng, max_updates, lazy):
     n = len(bias)
-    top = top0.tolist()
-    bottom = bot0.tolist()
-    disagreements = int(np.sum(top0 != bot0))
+    top = [1] * n
+    bottom = [0] * n
+    disagreements = n
     updates = 0
     while disagreements and updates < max_updates:
         block = min(_RNG_BLOCK, max_updates - updates)
@@ -486,33 +484,29 @@ def _run_random_update(bias, nbrs, rng, max_updates, lazy, top0, bot0):
 
 
 def random_update_coupling(model: BipartiteModel, seed: int, replicates: int,
-                           max_updates: int, lazy: bool, start_top=None,
-                           start_bottom=None) -> tuple:
+                           max_updates: int, lazy: bool) -> tuple:
     """(samples, streams) of `grand_coupling_time` for the random update,
     with every update, decided by the site's bounds or not, summing both
     chains' fields in `coupling._site_update`."""
     key = philox_key(seed)
-    top0 = np.ones(model.n, dtype=np.int8) if start_top is None else np.asarray(start_top, np.int8)
-    bot0 = (np.zeros(model.n, dtype=np.int8) if start_bottom is None
-            else np.asarray(start_bottom, np.int8))
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float).tolist()
     nbrs, _ = coupling._neighbors(model)
     times = [
         _run_random_update(bias, nbrs,
                            np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
-                           max_updates, lazy, top0, bot0)
+                           max_updates, lazy)
         for rep in range(replicates)
     ]
     done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)
     return tuple(time for time, _ in done), tuple(rep for _, rep in done)
 
 
-def _run_alternating_scan(bias, halves, rng, max_updates, lazy, top0, bot0):
+def _run_alternating_scan(bias, halves, rng, max_updates, lazy):
     # A half's sites are mutually independent given the other half, so
     # each half scan vectorizes; the per-site shared uniforms are drawn
     # in scan order.
     n = len(bias)
-    top, bottom = top0.astype(float), bot0.astype(float)
+    top, bottom = np.ones(n), np.zeros(n)
 
     def epoch():
         for own, other, weights in halves:
@@ -548,16 +542,12 @@ def _run_alternating_scan(bias, halves, rng, max_updates, lazy, top0, bot0):
 
 
 def alternating_scan_coupling(model: BipartiteModel, seed: int, replicates: int,
-                              max_updates: int, lazy: bool, start_top=None,
-                              start_bottom=None) -> tuple:
+                              max_updates: int, lazy: bool) -> tuple:
     """(samples, streams) of `grand_coupling_time` for the alternating scan,
     run one replicate at a time, each half scan forming both chains'
     fields and conditionals at every site."""
     key = philox_key(seed)
     n1, n = model.n1, model.n
-    top0 = np.ones(n, dtype=np.int8) if start_top is None else np.asarray(start_top, np.int8)
-    bot0 = (np.zeros(n, dtype=np.int8) if start_bottom is None
-            else np.asarray(start_bottom, np.int8))
     bias = (model.unaries[:, 1] - model.unaries[:, 0]).astype(float)
     cross = sp.csr_array(
         (model.tables[:, 1, 1], (model.edge_u, model.edge_v - n1)),
@@ -568,7 +558,7 @@ def alternating_scan_coupling(model: BipartiteModel, seed: int, replicates: int,
     times = [
         _run_alternating_scan(bias, halves,
                               np.random.Generator(np.random.Philox(key=[key, np.uint64(rep)])),
-                              max_updates, lazy, top0, bot0)
+                              max_updates, lazy)
         for rep in range(replicates)
     ]
     done = sorted((time, rep) for rep, time in enumerate(times) if time is not None)

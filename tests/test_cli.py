@@ -231,6 +231,49 @@ def test_cap_violation_is_user_error(tmp_path, capsys):
     assert "state space exceeds cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lazy", ["--lazy", "--no-lazy"])
+def test_zero_rbm_matches_a_zero_weight_model_file(tmp_path, lazy):
+    # zero_rbm stores no edges; zero factors would change no number.
+    model_file = tmp_path / "zero.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[0.0] * 3] * 2, "bias1": [0.0] * 2, "bias2": [0.0] * 3}
+    ))
+    for argv in (["spectral"], ["mixing"], ["coupling", "--seed", "3", "--replicates", "6"]):
+        inline, from_file = tmp_path / f"{argv[0]}_inline", tmp_path / f"{argv[0]}_file"
+        assert run_cli([*argv, "--model", "zero_rbm", "--n1", "2", "--n2", "3", lazy,
+                        "--out", str(inline)]) == cli.EXIT_OK
+        assert run_cli([*argv, "--model-file", str(model_file), lazy,
+                        "--out", str(from_file)]) == cli.EXIT_OK
+        names = sorted(path.name for path in inline.glob("*.csv"))
+        assert names and names == sorted(path.name for path in from_file.glob("*.csv"))
+        for name in names:
+            assert (inline / name).read_bytes() == (from_file / name).read_bytes()
+
+
+def _no_edge_mrf(path, n):
+    path.write_text(json.dumps({"kind": "mrf", "partition": [0, 1] * (n // 2),
+                                "unary": [[0.0, 0.0]] * n, "edges": []}))
+    return ["--model-file", str(path)]
+
+
+@pytest.mark.parametrize("model, grid", [
+    (["--model", "zero_rbm", "--n1", "1048576", "--n2", "1048576"], "2^2097152"),
+    ("mrf", "2^15000"),
+])
+def test_oversized_grid_is_user_error_naming_the_grid(tmp_path, capsys, model, grid):
+    # Neither grid size fits in a decimal string Python will print, and
+    # the zero_rbm run holds only its (n, 2) unary table.
+    if model == "mrf":
+        model = _no_edge_mrf(tmp_path / "wide.json", 15000)
+    out = tmp_path / "out"
+    code = run_cli(["spectral", *model, "--out", str(out)])
+    assert code == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert f"full configuration grid of size {grid} is too large to sweep" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_sampler_is_user_error(tmp_path, capsys):
     code = run_cli(
         ["mixing", "--model", "hardcore_knn", "--n", "2",

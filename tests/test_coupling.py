@@ -102,26 +102,23 @@ def test_truncation_counted(ferro):
     assert np.isnan(report.mean)
 
 
-def test_identical_starts_coalesce_immediately(ferro):
-    ones = np.ones(ferro.n)
-    for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
-        report = grand_coupling_time(
-            ferro, sampler, 3, 3, 1000, start_top=ones, start_bottom=ones
-        )
-        assert report.samples == (0, 0, 0)
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+@pytest.mark.parametrize("lazy", [False, True])
+def test_reversed_edges_couple_as_their_oriented_twin(sampler, lazy):
+    # Edges (2, 0) and (3, 1) run from partition two to partition one;
+    # the scan's cross matrix has only two rows, so it reads them oriented.
+    def table(w):
+        return np.array([[0.0, 0.0], [0.0, w]])
 
-
-def test_start_must_be_ordered(ferro):
-    with pytest.raises(ModelError, match="dominate"):
-        grand_coupling_time(
-            ferro,
-            SAMPLER_RANDOM_UPDATE,
-            3,
-            1,
-            1000,
-            start_top=np.zeros(ferro.n),
-            start_bottom=np.ones(ferro.n),
-        )
+    unaries = np.array([[0.0, 0.1], [0.0, -0.2], [0.0, 0.3], [0.0, 0.0]])
+    given = model_from_edges(2, 2, 2, ((2, 0, table(0.8)), (3, 1, table(0.5)),
+                                       (0, 3, table(0.2))), unaries)
+    twin = model_from_edges(2, 2, 2, ((0, 2, table(0.8)), (1, 3, table(0.5)),
+                                      (0, 3, table(0.2))), unaries)
+    a = grand_coupling_time(given, sampler, 5, 12, 10000, lazy=lazy)
+    b = grand_coupling_time(twin, sampler, 5, 12, 10000, lazy=lazy)
+    assert a.truncated_count == 0
+    assert (a.samples, a.streams) == (b.samples, b.streams)
 
 
 def test_unknown_sampler_and_bad_replicates(ferro):
@@ -263,26 +260,6 @@ def six_vars():
     return sg.random_bipartite_model(3, 3, 6, 0.0, 0.3, seed=1)
 
 
-@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
-def test_start_of_wrong_length_rejected(six_vars, sampler):
-    with pytest.raises(ModelError, match=r"start_top must have shape \(6,\)"):
-        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_top=np.ones(7))
-
-
-@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
-def test_start_value_two_rejected(six_vars, sampler):
-    top = np.array([2, 1, 1, 1, 1, 1])
-    with pytest.raises(ModelError, match="start_top entries must be exactly 0 or 1"):
-        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_top=top)
-
-
-@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
-def test_fractional_start_rejected(six_vars, sampler):
-    bottom = np.array([0.6, 0, 0, 0, 0, 0])
-    with pytest.raises(ModelError, match="start_bottom entries must be exactly 0 or 1"):
-        grand_coupling_time(six_vars, sampler, 1, 2, 1000, start_bottom=bottom)
-
-
 def test_negative_max_updates_rejected(six_vars):
     for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
         with pytest.raises(ModelError, match="max_updates must be non-negative"):
@@ -290,14 +267,9 @@ def test_negative_max_updates_rejected(six_vars):
 
 
 def test_zero_max_updates(six_vars):
-    ones = np.ones(six_vars.n)
     for sampler in (SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN):
-        same = grand_coupling_time(
-            six_vars, sampler, 1, 2, 0, start_top=ones, start_bottom=ones
-        )
-        assert same.samples == (0, 0)
-        apart = grand_coupling_time(six_vars, sampler, 1, 2, 0)
-        assert apart.truncated_count == 2
+        report = grand_coupling_time(six_vars, sampler, 1, 2, 0)
+        assert report.truncated_count == 2
 
 
 @pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
@@ -363,17 +335,6 @@ def test_random_update_matches_full_update_reference(request, model, max_updates
     report = grand_coupling_time(model, SAMPLER_RANDOM_UPDATE, 11, 12, max_updates, lazy=lazy)
     assert (report.samples, report.streams) == random_update_coupling(
         model, 11, 12, max_updates, lazy)
-
-
-def test_random_update_matches_reference_from_given_starts(mixed_unaries):
-    rng = np.random.default_rng(8)
-    bottom = (rng.random(mixed_unaries.n) < 0.3).astype(int)
-    top = np.maximum(bottom, rng.random(mixed_unaries.n) < 0.6)
-    report = grand_coupling_time(mixed_unaries, SAMPLER_RANDOM_UPDATE, 4, 12, 100000,
-                                 start_top=top, start_bottom=bottom)
-    assert report.truncated_count == 0
-    assert (report.samples, report.streams) == random_update_coupling(
-        mixed_unaries, 4, 12, 100000, False, top, bottom)
 
 
 @pytest.fixture(scope="module")
@@ -555,18 +516,6 @@ def test_scan_matches_one_replicate_reference(request, model, max_updates, lazy)
                                  lazy=lazy)
     assert (report.samples, report.streams) == alternating_scan_coupling(
         model, 11, 12, max_updates, lazy)
-
-
-@pytest.mark.parametrize("lazy", [False, True])
-def test_scan_matches_reference_from_given_starts(mixed_unaries, lazy):
-    rng = np.random.default_rng(8)
-    bottom = (rng.random(mixed_unaries.n) < 0.3).astype(int)
-    top = np.maximum(bottom, rng.random(mixed_unaries.n) < 0.6)
-    report = grand_coupling_time(mixed_unaries, SAMPLER_ALTERNATING_SCAN, 4, 12, 100000,
-                                 lazy=lazy, start_top=top, start_bottom=bottom)
-    assert report.truncated_count == 0
-    assert (report.samples, report.streams) == alternating_scan_coupling(
-        mixed_unaries, 4, 12, 100000, lazy, top, bottom)
 
 
 # On random_order_ferro (90 sites), 10 replicates run in blocks of 1 (a

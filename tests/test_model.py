@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -15,6 +16,10 @@ from scangibbs.model import (
 )
 
 from oracles import conditional_distribution, hamiltonian, model_from_edges, unnormalized_weight
+
+
+def assert_oriented(model):
+    assert np.all(model.edge_u < model.n1) and np.all(model.n1 <= model.edge_v)
 
 
 def ising_edge(weight):
@@ -126,7 +131,7 @@ def test_build_rbm_hand_sum():
     assert hamiltonian(model, [1, 1, 1, 1]) == pytest.approx(
         4.0 + bias1.sum() + bias2.sum()
     )
-    sg.validate_bipartite(model)
+    assert_oriented(model)
 
 
 def test_build_rbm_dimension_mismatch():
@@ -153,7 +158,7 @@ def test_build_dbm_four_layers():
     dbm = sg.build_dbm(sizes, weights, biases)
     assert dbm.n1 == 6 and dbm.n2 == 6
     assert len(dbm.edges) == 27
-    sg.validate_bipartite(dbm)
+    assert_oriented(dbm)
 
 
 def test_builders_match_per_edge_loops():
@@ -238,18 +243,37 @@ def test_random_model_too_many_edges():
         sg.random_bipartite_model(2, 2, -1, 0.0, 1.0, seed=0)
 
 
-def test_validate_bipartite_rejects_intra_partition_edge():
+def test_model_rejects_intra_partition_edge():
     edges = ((0, 1, np.zeros((2, 2))),)  # both endpoints in partition one
-    model = model_from_edges(2, 1, 2, edges, np.zeros((3, 2)))
     with pytest.raises(BipartiteStructureError, match=r"\(0, 1\)"):
-        sg.validate_bipartite(model)
+        model_from_edges(2, 1, 2, edges, np.zeros((3, 2)))
 
 
-def test_validate_bipartite_lists_every_intra_partition_edge():
+def test_model_lists_every_intra_partition_edge():
     edges = ((0, 2, np.zeros((2, 2))), (3, 2, np.zeros((2, 2))), (0, 1, np.zeros((2, 2))))
-    model = model_from_edges(2, 2, 2, edges, np.zeros((4, 2)))
     with pytest.raises(BipartiteStructureError, match=r"\[\(3, 2\), \(0, 1\)\]"):
-        sg.validate_bipartite(model)
+        model_from_edges(2, 2, 2, edges, np.zeros((4, 2)))
+
+
+def test_reversed_edge_is_stored_oriented():
+    # Edge (2, 0) runs from partition two to partition one: the model
+    # stores it as (0, 2) with its table transposed, and keeps its place.
+    table = np.array([[0.1, 0.2], [0.3, 0.4]])
+    unaries = np.arange(8.0).reshape(4, 2)
+    given = model_from_edges(2, 2, 2, ((1, 3, table), (2, 0, table)), unaries)
+    twin = model_from_edges(2, 2, 2, ((1, 3, table), (0, 2, table.T)), unaries)
+    for name in ("edge_u", "edge_v", "tables", "unaries"):
+        assert np.array_equal(getattr(given, name), getattr(twin, name))
+    assert_oriented(given)
+    for config in itertools.product([0, 1], repeat=4):
+        assert hamiltonian(given, config) == hamiltonian(twin, config)
+
+
+def test_reversed_edge_leaves_the_given_table_alone():
+    tables = np.array([[[0.1, 0.2], [0.3, 0.4]]])
+    model = BipartiteModel(1, 1, 2, [1], [0], tables, np.zeros((2, 2)))
+    assert model.tables[0].tolist() == [[0.1, 0.3], [0.2, 0.4]]
+    assert tables[0].tolist() == [[0.1, 0.2], [0.3, 0.4]]
 
 
 def one_edge_model(**fields):
@@ -323,7 +347,7 @@ def test_model_from_json_mrf_partition_remap():
     }
     model = sg.model_from_json(json.dumps(obj))
     assert model.n1 == 1 and model.n2 == 2
-    sg.validate_bipartite(model)
+    assert_oriented(model)
     # original variable 1 is the lone partition-zero variable, now index 0
     assert hamiltonian(model, [1, 1, 1]) == pytest.approx(0.5 - 0.4 + 0.4)
 
