@@ -31,6 +31,7 @@ _USER_ERRORS = (
     lumped.LumpingError,
     FileNotFoundError,
     ValueError,
+    MemoryError,  # an allocation refused outright, as for an oversized flag
 )
 _NUMERICAL_ERRORS = (
     chain.NumericalError,
@@ -412,7 +413,8 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_ERROR
     except _USER_ERRORS as exc:
         outputs.rollback()
-        print(f"scangibbs: error: {exc}", file=sys.stderr)
+        # Python's own MemoryError (a list too long) carries no message.
+        print(f"scangibbs: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USER_ERROR
     except BaseException:
         outputs.rollback()

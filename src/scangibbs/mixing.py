@@ -332,7 +332,10 @@ def active_start_mixing_time(
     d_x(t) <= threshold has mixed for good and can be dropped. Squaring
     forms the rows of starts still above the threshold first and the
     settled rows only if the bracket is still open; the bisection then
-    lifts the remaining rows by the stored squares, largest first.
+    lifts the remaining rows by the squares, largest first. Once S^(2s)
+    is formed only the lifting reads S^s, so a dense S^s whose half
+    S^(s/2) is stored is dropped, and the lifting applies S^(s/2) twice
+    in its place: at most every other dense power is held.
 
     The powers are those of S: S^(2s) = S^s (S^s)^T, so every full
     square is symmetric (_symmetric_square) and d_x(t) is read from row
@@ -353,7 +356,8 @@ def active_start_mixing_time(
     active = np.flatnonzero(above(symmetric, everyone))
     if not active.size:
         return 1
-    # squares[k] = S^(2^k); active holds the starts above the threshold at s.
+    # squares[k] = S^(2^k), or None where the lifting applies squares[k - 1]
+    # twice; active holds the starts above the threshold at s.
     squares = [symmetric]
     s = 1
     while True:
@@ -371,17 +375,29 @@ def active_start_mixing_time(
         s *= 2
         if not still.any():
             break
-        squares.append(_symmetric_square(square) if partial else block)
+        if partial:
+            del block  # the active rows go before the full square is formed
+            block = _symmetric_square(square)
+        squares.append(block)
+        if isinstance(squares[-2], np.ndarray) and squares[-3] is not None:
+            squares[-2] = None
         active = active[still]
+    del block, square  # only rows of S^(s/2) are read from here on
 
     # Each active start is above the threshold at s/2 and at or below it
     # at s; lift t = s/2 while some start stays above at t + 2^k.
-    rows, t = squares[-1][active], s // 2
-    for k in range(len(squares) - 2, -1, -1):
-        lifted = rows @ squares[k]
+    # Each power and each lifted block is released once its level is done.
+    rows, t = squares.pop()[active], s // 2
+    while squares:
+        k, power = len(squares) - 1, squares.pop()
+        if power is None:
+            lifted = rows @ squares[-1] @ squares[-1]
+        else:
+            lifted = rows @ power
         still = above(lifted, active)
         if still.any():
             rows, active, t = lifted[still], active[still], t + 2 ** k
+        del lifted
     return t + 1 if t + 1 <= t_max else None
 
 

@@ -274,6 +274,29 @@ def test_oversized_grid_is_user_error_naming_the_grid(tmp_path, capsys, model, g
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    # rng.permutation(n1 * n2) over 2^40 pairs, 8 TiB of int64
+    (["coupling", "--model", "random_rbm", "--n1", "1048576", "--n2", "1048576", "--m", "5",
+      "--weight-low", "0", "--weight-high", "0.1", "--seed", "1"],
+     "Unable to allocate 8.00 TiB"),
+    # [None] * replicates, 2^40 list slots; Python's MemoryError has no message
+    (["coupling", "--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
+      "--weight-low", "0", "--weight-high", "0.3", "--seed", "1",
+      "--samplers", "alternating_scan", "--replicates", "1099511627776"],
+     "error: MemoryError"),
+    # the (n1 + n2) x 2 unary table of a zero_rbm, 16 TiB of float64
+    (["spectral", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
+     "Unable to allocate 16.0 TiB"),
+])
+def test_refused_allocation_is_user_error(tmp_path, capsys, argv, message):
+    # Each size is one the allocator refuses at once, before touching memory.
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_sampler_is_user_error(tmp_path, capsys):
     code = run_cli(
         ["mixing", "--model", "hardcore_knn", "--n", "2",
@@ -391,7 +414,14 @@ def test_linalg_error_is_numerical_failure(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("exc_type", [OverflowError, MemoryError, KeyboardInterrupt])
+def test_memory_error_rolls_back_and_is_user_error(tmp_path, monkeypatch, capsys):
+    argv = _fail_mixing_stage(monkeypatch, tmp_path, MemoryError("injected"))
+    assert run_cli(argv) == cli.EXIT_USER_ERROR
+    assert "scangibbs: error: injected" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("exc_type", [OverflowError, RuntimeError, KeyboardInterrupt])
 def test_unmapped_exception_rolls_back_and_reraises(tmp_path, monkeypatch, exc_type):
     argv = _fail_mixing_stage(monkeypatch, tmp_path, exc_type("injected"))
     with pytest.raises(exc_type, match="injected"):
@@ -807,6 +837,26 @@ def test_cli_random_update_fill_holds_two_powers(tmp_path):
     # plus O(N) vectors and the readout's 128 x N buffer
     assert peak < 3 * 8 * n_states ** 2
     assert _rows_by(tmp_path / "verify_fill.csv")["random_update", "holds"] == "true"
+
+
+def test_cli_mixing_bounds_holds_every_other_dense_power(tmp_path):
+    """The active-start search brackets t_mix(RU) = 57 between S^32 and
+    S^64. S is sparse, and on these 1024 states S^2 and every later power
+    is a dense N x N array of 8 N^2 bytes. Once a square is formed, a
+    dense power whose half is stored is dropped, and the lifting applies
+    the half twice in its place: S^2 goes when S^4 is formed, S^8 when
+    S^16 is. At the last full square the search holds S^4, S^16 and S^32.
+    The active rows of S^64 (1022 of the 1024 starts) and the rows of S^32
+    they are formed from add two more, 5 x 8 N^2 in all; the lifting holds
+    at most four. The rest, O(N) vectors and the readout's 64 x N buffer,
+    stays below half of 8 N^2. Holding every square, S^2 to S^32, through
+    the lifting with its rows, their lift and the S^64 rows needs 8 x 8 N^2.
+    """
+    n_states = 2 ** 10
+    argv = ["verify", "--suite", "mixing_bounds"]
+    peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
+    assert peak < 5.5 * 8 * n_states ** 2
+    assert _rows_by(tmp_path / "verify_mixing_bounds.csv")["both", "t_mix_ru"] == "57"
 
 
 def test_cli_random_update_mixing_holds_the_squares_below_the_bracket(tmp_path):

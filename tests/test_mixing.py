@@ -329,6 +329,24 @@ def test_active_start_squares_are_byte_symmetric(engine_models, monkeypatch, laz
         _assert_byte_symmetric(square)
 
 
+@pytest.mark.parametrize("lazy", [True, False])
+def test_lifting_through_a_half_twice_matches_the_square(engine_models, lazy):
+    # The search lifts through a dropped dense S^s as rows S^(s/2) S^(s/2).
+    # Every operand is nonnegative, so each computed entry of either side
+    # is within gamma_{2N}, about 2 N eps, of the exact entry, relatively.
+    eps = np.finfo(float).eps
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        half = spectral.random_update_symmetric(model, space, lazy)
+        rows = half[::2].toarray()
+        for s in (2, 4, 8, 16):
+            expected = rows @ mixing._symmetric_square(half)
+            lifted = rows @ half @ half
+            bound = 4 * space.size * eps * expected
+            assert np.all(np.abs(lifted - expected) <= bound), (model.label, s)
+            half = mixing._symmetric_square(half)
+
+
 def _assert_byte_symmetric(square):
     """A dense square equals its transpose to the bit; a sparse one is in
     canonical form and its transpose has the same indices and data bytes."""
