@@ -28,6 +28,7 @@ DEFAULT_CAP = 4096
 
 _ROW_SUM_TOL = 1e-12
 _NEGATIVE_TOL = 1e-15
+# Bounds both the stationarity defect and the detailed-balance violation.
 _STATIONARITY_TOL = 1e-10
 
 
@@ -129,12 +130,11 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
             cell = [slice(None)] * n
             cell[u] = cell[v] = 1
             valid[tuple(cell)] = False
+    # Hardcore clears only cells with both ends of an edge at 1: all-zeros stays.
     keys = np.flatnonzero(valid)
     count = keys.size
     if count > cap:
         raise StateSpaceCapError(f"state space exceeds cap: {count} > {cap}")
-    if count == 0:
-        raise ChainError("no configuration has positive weight")
     # int8 keeps the largest spaces small; S > 128 needs a wider type, and
     # since n >= 2 the grid limit keeps S within int16. Taking the digits
     # one column at a time never holds n int64 columns at once.
@@ -226,8 +226,8 @@ def detailed_balance_violation(kernel: Kernel, space: StateSpace) -> float:
     return float(np.max(np.abs(flux - flux.T)))
 
 
-def is_reversible(kernel: Kernel, space: StateSpace, tol: float = _STATIONARITY_TOL) -> bool:
-    return detailed_balance_violation(kernel, space) <= tol
+def is_reversible(kernel: Kernel, space: StateSpace) -> bool:
+    return detailed_balance_violation(kernel, space) <= _STATIONARITY_TOL
 
 
 def _reached_from_zero(support: np.ndarray) -> np.ndarray:

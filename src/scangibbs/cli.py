@@ -24,13 +24,10 @@ EXIT_OK = 0
 EXIT_USER_ERROR = 1
 EXIT_NUMERICAL_ERROR = 2
 
+# ModelError, StateSpaceCapError, MixingError and LumpingError are ValueErrors.
 _USER_ERRORS = (
-    model_mod.ModelError,
-    chain.StateSpaceCapError,
-    mixing.MixingError,
-    lumped.LumpingError,
-    FileNotFoundError,
     ValueError,
+    OSError,  # a model file or --out path that cannot be used as one
     MemoryError,  # an allocation refused outright, as for an oversized flag
 )
 _NUMERICAL_ERRORS = (
@@ -195,8 +192,7 @@ def _lumped(args):
                  "relaxation_time", report.relaxation_time)
             )
             mix = mixing.exact_mixing_time(
-                kernel, space, threshold=args.threshold, t_max=args.t_max,
-                method="doubling",
+                kernel, space, threshold=args.threshold, t_max=args.t_max
             )
             value = mix.mixing_time if mix.mixing_time is not None else "truncated"
             summary.append(

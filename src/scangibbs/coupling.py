@@ -11,6 +11,7 @@ time dominates the coupling time of every start pair.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from math import exp
@@ -196,6 +197,8 @@ def grand_coupling_time(
         raise ModelError(f"unknown sampler {sampler!r}")
     if replicates < 1:
         raise ModelError("need at least one replicate")
+    if replicates > sys.maxsize:  # the most entries a Python list can index
+        raise ModelError(f"replicates must be at most {sys.maxsize}, got {replicates}")
     if max_updates < 0:
         raise ModelError(f"max_updates must be non-negative, got {max_updates}")
     key = philox_key(seed)

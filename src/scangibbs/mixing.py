@@ -1,16 +1,17 @@
 """Exact total-variation mixing times and mixing-bound verification.
 
 Worst-start TV distance to pi is non-increasing in t (TV contracts under
-any stochastic map), which the doubling search exploits; the sequential
-powering path follows the definition step by step and is the reference.
-So is each start's own TV distance, which lets the verifier's search
-drop the starts that have mixed.
+any stochastic map), which the doubling search exploits. So is each
+start's own TV distance, which lets the verifier's search drop the
+starts that have mixed. The step-by-step search that follows the
+definition is a test oracle (iterate_mixing_time in tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .spectral import (
     scan_correlation,
     scan_report,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
 DEFAULT_T_MAX = 10 ** 6
@@ -93,44 +97,27 @@ def exact_mixing_time(
     space: StateSpace,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
-    method: str = "iterate",
+    method: str = "doubling",
 ) -> MixingReport:
     """Least t with worst-start TV distance to pi at most the threshold.
 
-    method="iterate" multiplies the kernel step by step; "doubling"
-    brackets the mixing time with repeated squaring and then bisects,
-    which is exact because worst-start TV is non-increasing in t.
+    Squared powers of the kernel bracket the mixing time and bisection
+    finds it (_doubling_search), which is exact because worst-start TV
+    is non-increasing in t. "doubling" is the only method; any other
+    raises MixingError.
     """
     _check_search(threshold, t_max)
     _check_nonnegative(kernel.matrix)
     if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
-    if method == "iterate":
-        return _mixing_time_iterate(kernel, space, threshold, t_max)
-    if method == "doubling":
-        scratch = np.empty_like(kernel.matrix)
-        return _doubling_search(
-            kernel.matrix, lambda power: _worst_tv(power, space.pi, scratch),
-            {0: 1.0 - float(space.pi.min())}, threshold, t_max, kernel.unit,
-            _renormalized_product,
-        )
-    raise MixingError(f"unknown method {method!r}")
-
-
-def _mixing_time_iterate(kernel, space, threshold, t_max) -> MixingReport:
-    pi = space.pi
-    curve = [(0, 1.0 - float(pi.min()))]
-    if curve[0][1] <= threshold:
-        return MixingReport(0, threshold, tuple(curve), False, kernel.unit)
-    power = kernel.matrix.copy()
-    scratch = np.empty_like(power)
-    for t in range(1, t_max + 1):
-        worst = _worst_tv(power, pi, scratch)
-        curve.append((t, worst))
-        if worst <= threshold:
-            return MixingReport(t, threshold, tuple(curve), False, kernel.unit)
-        power = _renormalized_product(power, kernel.matrix)
-    return MixingReport(None, threshold, tuple(curve), True, kernel.unit)
+    if method != "doubling":
+        raise MixingError(f"unknown method {method!r}")
+    scratch = np.empty_like(kernel.matrix)
+    return _doubling_search(
+        kernel.matrix, lambda power: _worst_tv(power, space.pi, scratch),
+        {0: 1.0 - float(space.pi.min())}, threshold, t_max, kernel.unit,
+        _renormalized_product,
+    )
 
 
 def _doubling_search(step, readout, curve, threshold, t_max, unit, product) -> MixingReport:
@@ -298,10 +285,10 @@ def random_update_mixing_time(
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
 ) -> MixingReport:
-    """exact_mixing_time(method="doubling") of a sparse pi-reversible kernel, on
-    the powers of its symmetric form S, at the same t points. The TV at t is half
-    the largest _symmetric_deviation of S^t; squares come from _symmetric_square,
-    and no power is renormalized (README, "Random-update mixing").
+    """exact_mixing_time of a sparse pi-reversible kernel, on the powers of its
+    symmetric form S, at the same t points. The TV at t is half the largest
+    _symmetric_deviation of S^t; squares come from _symmetric_square, and no
+    power is renormalized (README, "Random-update mixing").
     """
     _check_search(threshold, t_max)
     everyone, r = np.arange(space.size), np.sqrt(space.pi)
@@ -324,11 +311,11 @@ def active_start_mixing_time(
     """Worst-start mixing time of a sparse pi-reversible kernel P, from
     its symmetric form S = D^{1/2} P D^{-1/2} (spectral.random_update_symmetric).
 
-    It is the mixing time of exact_mixing_time(method="doubling"), or
-    None where that report is truncated at t_max, up to rounding. Each
-    start's distance d_x(t) = TV(P^t(x, .), pi) is non-increasing in t:
-    d_x(t + 1) is half the L1 norm of (P^t(x, .) - pi) P, and P does
-    not increase the L1 norm of a signed measure. So a start with
+    It is the mixing time of exact_mixing_time, or None where that
+    report is truncated at t_max, up to rounding. Each start's distance
+    d_x(t) = TV(P^t(x, .), pi) is non-increasing in t: d_x(t + 1) is
+    half the L1 norm of (P^t(x, .) - pi) P, and P does not increase the
+    L1 norm of a signed measure. So a start with
     d_x(t) <= threshold has mixed for good and can be dropped. Squaring
     forms the rows of starts still above the threshold first and the
     settled rows only if the bracket is still open; the bisection then

@@ -142,7 +142,7 @@ def _all_pairs(n1: int, n2: int):
     return np.repeat(np.arange(n1), n2), np.tile(np.arange(n2), n1)
 
 
-def build_rbm(weights, bias1, bias2, label: str = "rbm") -> BipartiteModel:
+def build_rbm(weights, bias1, bias2) -> BipartiteModel:
     """Boolean model with one [0,0,0,W] factor per cross-partition pair."""
     weights = np.asarray(weights, dtype=float)
     bias1 = np.asarray(bias1, dtype=float)
@@ -158,10 +158,10 @@ def build_rbm(weights, bias1, bias2, label: str = "rbm") -> BipartiteModel:
     unaries = np.zeros((n1 + n2, 2))
     unaries[:n1, 1] = bias1
     unaries[n1:, 1] = bias2
-    return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label=label)
+    return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label="rbm")
 
 
-def build_dbm(layer_sizes, interlayer_weights, biases, label: str = "dbm") -> BipartiteModel:
+def build_dbm(layer_sizes, interlayer_weights, biases) -> BipartiteModel:
     """Layered Boolean model; odd layers (1st, 3rd, ...) form partition one."""
     sizes = list(layer_sizes)
     if len(sizes) < 2:
@@ -207,7 +207,7 @@ def build_dbm(layer_sizes, interlayer_weights, biases, label: str = "dbm") -> Bi
     unaries = np.zeros((n1 + n2, 2))
     for k, b in enumerate(bias_vecs):
         unaries[offset[k]:offset[k] + sizes[k], 1] = b
-    return BipartiteModel(n1, n2, 2, edge_u, edge_v, tables, unaries, label=label)
+    return BipartiteModel(n1, n2, 2, edge_u, edge_v, tables, unaries, label="dbm")
 
 
 def build_hardcore_complete_bipartite(n: int) -> BipartiteModel:
@@ -236,8 +236,7 @@ def philox_key(seed: int) -> np.uint64:
 
 
 def random_bipartite_model(
-    n1: int, n2: int, m: int, weight_low: float, weight_high: float, seed: int,
-    label: str | None = None,
+    n1: int, n2: int, m: int, weight_low: float, weight_high: float, seed: int
 ) -> BipartiteModel:
     """RBM-style model with m distinct random cross edges.
 
@@ -258,8 +257,7 @@ def random_bipartite_model(
     weights = rng.uniform(weight_low, weight_high, size=m)
     i, j = np.divmod(pairs, n2)
     unaries = np.zeros((n1 + n2, 2))
-    if label is None:
-        label = f"random_rbm:{n1}x{n2}:m{m}:seed{seed}"
+    label = f"random_rbm:{n1}x{n2}:m{m}:seed{seed}"
     return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label=label)
 
 

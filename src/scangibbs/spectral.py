@@ -8,6 +8,7 @@ multiplicative reversibilizations become exactly symmetric matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .chain import (
 from .model import BipartiteModel
 from . import chain
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 _SYMMETRY_TOL = 1e-9
-_REVERSIBILITY_TOL = 1e-10
 # Largest kernel whose sparse eigenproblem goes to the dense solver, which
 # beats ARPACK up to 128 states and loses to it from 256 on most models (README).
 _DENSE_EIGEN_MAX = 128
@@ -77,7 +80,7 @@ def relaxation_time(kernel: Kernel, space: StateSpace) -> SpectralReport:
     """
     if not is_ergodic(kernel):
         raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
-    if is_reversible(kernel, space, tol=_REVERSIBILITY_TOL):
+    if is_reversible(kernel, space):
         slm = deviation_norm(kernel, space)
         gap = 1.0 - slm
         if gap <= 0.0:
@@ -136,8 +139,8 @@ def scan_correlation(table: chain.JointTable) -> float:
     # Scaled one side at a time: sqrt(p1 p2) can underflow to 0 where
     # each marginal alone does not.
     normalized = table.joint / np.sqrt(table.p1)[:, None] / np.sqrt(table.p2)[None, :]
-    sigma = np.linalg.svd(normalized, compute_uv=False)
-    rho = float(sigma[1]) if sigma.size > 1 else 0.0
+    # J is S^n1 x S^n2 with S >= 2 and n1, n2 >= 1: at least two singular values.
+    rho = float(np.linalg.svd(normalized, compute_uv=False)[1])
     if rho >= 1.0:
         raise NonErgodicError("alternating scan has zero spectral gap")
     return rho

@@ -7,13 +7,14 @@ Hamiltonian and conditionals, the dense single-site, random-update and
 scan kernels, the single-site kernels from a fiber lookup of their own,
 summed one after another, the lazy kernel and the symmetric form
 D^{1/2} P D^{-1/2} in scipy.sparse operations, the L2(pi)
-operator norm, the fill check on a dense kernel, the exact rational
-random-update kernel, the hardcore lumping maps, the TV distance of
-two distributions, the random-update grand coupling with every
-update through the full site update, the alternating-scan grand
-coupling run one replicate at a time with every site through the full
-half-scan step, and ergodicity as a strong-connectivity test in
-scipy.sparse.csgraph, for a kernel and for the scan on a joint table.
+operator norm, the fill check on a dense kernel, the mixing time by
+step-by-step powering, the exact rational random-update kernel, the
+hardcore lumping maps, the TV distance of two distributions, the
+random-update grand coupling with every update through the full site
+update, the alternating-scan grand coupling run one replicate at a time
+with every site through the full half-scan step, and ergodicity as a
+strong-connectivity test in scipy.sparse.csgraph, for a kernel and for
+the scan on a joint table.
 """
 
 from fractions import Fraction
@@ -25,6 +26,7 @@ from scipy.special import expit
 
 from scangibbs import chain, coupling, mixing
 from scangibbs.chain import (
+    _STATIONARITY_TOL,
     UNIT_COMPOSITE,
     UNIT_EPOCH,
     UNIT_VARIABLE,
@@ -44,7 +46,6 @@ from scangibbs.model import (
     philox_key,
 )
 from scangibbs.spectral import (
-    _REVERSIBILITY_TOL,
     _SYMMETRY_TOL,
     NonErgodicError,
     _conjugate,
@@ -273,7 +274,7 @@ def symmetric_form(matrix: sp.csr_array, pi: np.ndarray) -> sp.csr_array:
     """
     flux = matrix.multiply(pi[:, None])
     violation = abs(flux - flux.T).max()
-    if violation > _REVERSIBILITY_TOL:
+    if violation > _STATIONARITY_TOL:
         raise NumericalError(f"kernel violates detailed balance by {violation}")
     sqrt_pi = np.sqrt(pi)
     m = sp.csr_array(matrix.multiply(sqrt_pi[:, None]).multiply(1.0 / sqrt_pi[None, :]))
@@ -321,6 +322,38 @@ def general_operator_norm(operator, space: StateSpace) -> float:
     gram = m.T @ m
     eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     return float(np.sqrt(max(eigs.max(), 0.0)))
+
+
+def iterate_mixing_time(
+    kernel: Kernel,
+    space: StateSpace,
+    threshold: float = DEFAULT_THRESHOLD,
+    t_max: int = mixing.DEFAULT_T_MAX,
+) -> mixing.MixingReport:
+    """Mixing time by the definition: the kernel powered one step at a
+    time, the reference for the doubling search of mixing.exact_mixing_time.
+
+    It makes that function's checks (ergodicity here by strong
+    connectivity) and forms its products the same way, and its TV curve
+    holds every t from 0 to the mixing time.
+    """
+    mixing._check_search(threshold, t_max)
+    mixing._check_nonnegative(kernel.matrix)
+    if not is_ergodic(kernel):
+        raise NonErgodicError(f"kernel {kernel.label} is not ergodic")
+    pi = space.pi
+    curve = [(0, 1.0 - float(pi.min()))]
+    if curve[0][1] <= threshold:
+        return mixing.MixingReport(0, threshold, tuple(curve), False, kernel.unit)
+    power = kernel.matrix.copy()
+    scratch = np.empty_like(power)
+    for t in range(1, t_max + 1):
+        worst = mixing._worst_tv(power, pi, scratch)
+        curve.append((t, worst))
+        if worst <= threshold:
+            return mixing.MixingReport(t, threshold, tuple(curve), False, kernel.unit)
+        power = mixing._renormalized_product(power, kernel.matrix)
+    return mixing.MixingReport(None, threshold, tuple(curve), True, kernel.unit)
 
 
 def rational_ru_kernel(

@@ -221,22 +221,26 @@ def test_criterion_05_mixing_bounds_and_rational_oracle(report):
         if not res["all_hold"]:
             failures.append((mdl.label, res))
 
+    # Both production searches against the rational oracle on lazy K_{2,2}.
     k22 = sg.build_hardcore_complete_bipartite(2)
     space = sg.enumerate_state_space(k22)
-    float_mix = sg.exact_mixing_time(
-        random_update_kernel(k22, space, lazy=True), space, method="iterate"
+    doubling_mix = sg.exact_mixing_time(
+        random_update_kernel(k22, space, lazy=True), space
     ).mixing_time
+    active_mix = mixing.active_start_mixing_time(
+        spectral.random_update_symmetric(k22, space, lazy=True), space
+    )
     exact_kernel = rational_ru_kernel(k22, space, lazy=True)
     from fractions import Fraction
 
     exact_mix = rational_mixing_time(
         exact_kernel, [Fraction(1, 7)] * 7
     )
-    oracle_ok = float_mix == exact_mix
+    oracle_ok = doubling_mix == active_mix == exact_mix == 32
     report(
         5, not failures and oracle_ok,
         f"{len(models)} instances, {len(failures)} bound violations; "
-        f"rational oracle {exact_mix} vs float {float_mix}",
+        f"rational oracle {exact_mix} vs doubling {doubling_mix}, active-start {active_mix}",
     )
 
 

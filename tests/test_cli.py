@@ -1,4 +1,6 @@
 import argparse
+import ast
+import builtins
 import csv
 import json
 import math
@@ -297,6 +299,36 @@ def test_refused_allocation_is_user_error(tmp_path, capsys, argv, message):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--model-file", "{dir}"],
+    ["spectral", "--model", "hardcore_knn", "--n", "2", "--out", "{file}"],
+    ["spectral", "--model", "hardcore_knn", "--n", "2", "--out", "{file}/sub"],
+], ids=["IsADirectoryError", "FileExistsError", "NotADirectoryError"])
+def test_unusable_path_is_user_error(tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept")
+    argv = [arg.format(dir=tmp_path / "dir", file=tmp_path / "file") for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert run_cli(argv) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "scangibbs: error:" in err and "Traceback" not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dir", "file"]
+    assert not any((tmp_path / "dir").iterdir())
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_replicates_beyond_a_list_index_is_user_error(tmp_path, capsys):
+    # 2^63 = sys.maxsize + 1 made the scan's list of times raise OverflowError.
+    out = tmp_path / "out"
+    argv = ["coupling", *_SIX, "--samplers", "alternating_scan",
+            "--replicates", str(2 ** 63), "--out", str(out)]
+    assert run_cli(argv) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "replicates must be at most" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_sampler_is_user_error(tmp_path, capsys):
     code = run_cli(
         ["mixing", "--model", "hardcore_knn", "--n", "2",
@@ -392,6 +424,53 @@ def test_fresh_process_loads_scipy_modules_only_where_they_run(tmp_path, argv, f
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
     assert set(result.stdout.split()) == footprint
+
+
+def _module_bindings(body) -> set:
+    """Names the statements of a module body bind, inside if and try blocks too."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+        elif isinstance(node, (ast.If, ast.Try)):
+            names |= _module_bindings(
+                [child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt)])
+    return names
+
+
+def _annotation_roots(tree):
+    """(line, name) of every name at the root of an annotation in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            args = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            annotations = [arg.annotation for arg in args if arg is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for name in ast.walk(annotation):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
+@pytest.mark.parametrize("path", sorted(Path(cli.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_annotation_names_a_module_level_binding(path):
+    # A name that an annotation uses must be bound at module level, where a
+    # type checker or a reader looks for it. Where importing it costs
+    # start-up, as scipy.sparse does, the module binds it under TYPE_CHECKING
+    # and imports it for real where it runs.
+    tree = ast.parse(path.read_text())
+    bound = _module_bindings(tree.body) | set(dir(builtins))
+    assert [(line, name) for line, name in _annotation_roots(tree) if name not in bound] == []
 
 
 def _fail_mixing_stage(monkeypatch, tmp_path, exc):

@@ -293,6 +293,14 @@ def test_samples_carry_their_streams(six_vars):
 
 
 @pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
+def test_replicates_beyond_a_list_index_rejected(six_vars, sampler):
+    # sys.maxsize is the most entries a Python list can index; one more made
+    # the scan's list of times raise OverflowError and the random update loop.
+    with pytest.raises(ModelError, match=f"replicates must be at most {sys.maxsize}"):
+        grand_coupling_time(six_vars, sampler, 1, sys.maxsize + 1, 1000)
+
+
+@pytest.mark.parametrize("sampler", [SAMPLER_RANDOM_UPDATE, SAMPLER_ALTERNATING_SCAN])
 def test_seed_must_fit_a_philox_key(six_vars, sampler):
     for seed in (-1, 2 ** 64):
         with pytest.raises(ModelError, match=r"seed must be in \[0, 2\^64\)"):

@@ -13,6 +13,7 @@ from scangibbs import chain, mixing, spectral
 from scangibbs.mixing import MixingError, exact_mixing_time
 
 from oracles import (
+    iterate_mixing_time,
     random_update_kernel,
     rational_mixing_time,
     rational_ru_kernel,
@@ -57,7 +58,7 @@ def test_tv_distance_symmetric_and_bounded(raw, data):
 def test_mixing_methods_agree_k22(k22):
     model, space = k22
     p = random_update_kernel(model, space, lazy=True)
-    it = exact_mixing_time(p, space, method="iterate")
+    it = iterate_mixing_time(p, space)
     db = exact_mixing_time(p, space, method="doubling")
     assert it.mixing_time == db.mixing_time == 32
     assert not it.truncated and not db.truncated
@@ -67,7 +68,7 @@ def test_mixing_methods_agree_k22(k22):
 def test_mixing_curve_monotone(k22):
     model, space = k22
     p = random_update_kernel(model, space, lazy=True)
-    curve = exact_mixing_time(p, space, method="iterate").tv_curve
+    curve = iterate_mixing_time(p, space).tv_curve
     values = [tv for _, tv in curve]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     assert curve[0] == (0, pytest.approx(1 - 1 / 7))
@@ -106,10 +107,18 @@ def test_mixing_time_zero_when_pi_concentrated(zero_rbm_22):
 def test_mixing_truncation(k22):
     model, space = k22
     p = random_update_kernel(model, space, lazy=True)
-    for method in ("iterate", "doubling"):
-        report = exact_mixing_time(p, space, t_max=3, method=method)
+    for search in (iterate_mixing_time, exact_mixing_time):
+        report = search(p, space, t_max=3)
         assert report.truncated
         assert report.mixing_time is None
+
+
+@pytest.mark.parametrize("method", ["iterate", "bogus"])
+def test_doubling_is_the_only_method(k22, method):
+    model, space = k22
+    p = random_update_kernel(model, space, lazy=True)
+    with pytest.raises(MixingError, match="unknown method"):
+        exact_mixing_time(p, space, method=method)
 
 
 def test_mixing_threshold_sensitivity(k22):
@@ -118,7 +127,7 @@ def test_mixing_threshold_sensitivity(k22):
     loose = exact_mixing_time(p, space, threshold=0.25, method="doubling")
     tight = exact_mixing_time(p, space, threshold=0.01, method="doubling")
     assert loose.mixing_time <= tight.mixing_time
-    strict = exact_mixing_time(p, space, threshold=0.25, method="iterate")
+    strict = iterate_mixing_time(p, space, threshold=0.25)
     assert loose.mixing_time == strict.mixing_time
 
 
@@ -548,9 +557,9 @@ def test_negative_or_nan_operand_raises(k22, bad):
     matrix = random_update_kernel(model, space).matrix.copy()
     matrix[0, 1] = bad
     kernel = chain.Kernel(matrix, chain.UNIT_VARIABLE, "broken")
-    for method in ("iterate", "doubling"):
+    for search in (iterate_mixing_time, exact_mixing_time):
         with pytest.raises(chain.NumericalError, match="negative or NaN"):
-            exact_mixing_time(kernel, space, method=method)
+            search(kernel, space)
     table = chain.joint_table(model, space)
     for field in ("cond1", "cond2"):
         conditional = getattr(table, field).copy()
