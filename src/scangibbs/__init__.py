@@ -2,7 +2,6 @@
 
 from .model import (
     BipartiteModel,
-    HamiltonianRangeError,
     ModelError,
     build_dbm,
     build_hardcore_complete_bipartite,

@@ -13,12 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    _ENUMERATION_LIMIT,
-    BipartiteModel,
-    HAMILTONIAN_RANGE,
-    HamiltonianRangeError,
-)
+from .model import _ENUMERATION_LIMIT, BipartiteModel, ModelError
 
 UNIT_VARIABLE = "variable_update"
 UNIT_EPOCH = "epoch"
@@ -142,13 +137,16 @@ def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> Stat
     for j in range(n):
         configs[:, j] = (keys // S ** (n - 1 - j)) % S
     # A fixed order, edges then sites, keeps pi reproducible to the bit.
+    # Finite tables can still sum to +-inf (or NaN), which is refused below
+    # with a message in place of numpy's warnings.
     h = np.zeros(count)
-    for k, (u, v) in enumerate(ends):
-        h += model.tables[k, configs[:, u], configs[:, v]]
-    for j in range(n):
-        h += model.unaries[j][configs[:, j]]
-    if np.max(np.abs(h)) > HAMILTONIAN_RANGE:
-        raise HamiltonianRangeError("hamiltonian out of numeric range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u, v) in enumerate(ends):
+            h += model.tables[k, configs[:, u], configs[:, v]]
+        for j in range(n):
+            h += model.unaries[j][configs[:, j]]
+    if not np.isfinite(h).all():
+        raise ModelError("the model's Hamiltonian overflows float64")
     weights = np.exp(h - h.max())
     pi = weights / weights.sum()
     return StateSpace(configs=configs, pi=pi, domain_size=S)

@@ -114,14 +114,17 @@ def _resolve_model(args) -> model_mod.BipartiteModel:
     raise model_mod.ModelError(f"unknown inline model kind {kind!r}")
 
 
-def _samplers(args):
-    names = [s.strip() for s in args.samplers.split(",") if s.strip()]
-    known = {"random_update", "alternating_scan"}
-    bad = set(names) - known
-    if bad:
-        raise ValueError(f"unknown samplers: {sorted(bad)}")
+_SAMPLERS = ("random_update", "alternating_scan")
+
+
+def _names(text, known, what):
+    """The names in a comma-separated list, each one of known, at least one."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown}: choose from {', '.join(known)}")
     if not names:
-        raise ValueError("at least one sampler is required")
+        raise ValueError(f"no {what} selected")
     return names
 
 
@@ -129,7 +132,7 @@ def _per_sampler(mdl, args, ru, scan):
     """(sampler, unit, ru(S, space) or scan(joint table)) per selected sampler, RU first;
     S is the symmetric form of the random-update kernel."""
     space = chain.enumerate_state_space(mdl, cap=args.cap)
-    samplers = _samplers(args)
+    samplers = _names(args.samplers, _SAMPLERS, "samplers")
     if "random_update" in samplers:
         s_ru = spectral.random_update_symmetric(mdl, space, args.lazy)
         yield "random_update", chain.UNIT_VARIABLE, ru(s_ru, space)
@@ -178,7 +181,7 @@ def _lumped(args):
     for n in range(args.n_min, args.n_max + 1):
         space = lumped.lumped_state_space(n)
         model_id = f"hardcore_knn_lumped:{n}"
-        for sampler in _samplers(args):
+        for sampler in _names(args.samplers, _SAMPLERS, "samplers"):
             if sampler == "random_update":
                 kernel = lumped.lumped_ru_kernel(n, lazy=args.lazy)
             else:
@@ -208,7 +211,7 @@ def _coupling(args):
     if args.seed is None:
         raise model_mod.ModelError("coupling requires --seed")
     summary, wide = [], []
-    for sampler in _samplers(args):
+    for sampler in _names(args.samplers, _SAMPLERS, "samplers"):
         report = coupling.grand_coupling_time(
             mdl, sampler, seed=args.seed, replicates=args.replicates,
             max_updates=args.max_updates, lazy=args.lazy,
@@ -333,8 +336,8 @@ _FLAGS = {
     "max_updates": {"type": int, "default": 10 ** 7},
     "replicates": {"type": int, "default": 50},
     "samplers": {
-        "default": "random_update,alternating_scan",
-        "help": "comma-separated subset of random_update, alternating_scan",
+        "default": ",".join(_SAMPLERS),
+        "help": f"comma-separated subset of {', '.join(_SAMPLERS)}",
     },
     "lazy": {"action": argparse.BooleanOptionalAction, "default": True},
     "n_min": {"type": int, "default": 2},
@@ -350,16 +353,6 @@ _FLAGS = {
         "help": f"comma-separated subset of {', '.join(_RUN)}",
     },
 }
-
-
-def _run_analyses(text):
-    analyses = [a.strip() for a in text.split(",") if a.strip()]
-    if not analyses:
-        raise ValueError("no analyses selected")
-    unknown = [a for a in analyses if a not in _RUN]
-    if unknown:
-        raise ValueError(f"unknown analyses {unknown}: choose from {', '.join(_RUN)}")
-    return analyses
 
 
 def _manifest(args, analyses):
@@ -397,7 +390,7 @@ def main(argv=None) -> int:
     analyses = [args.command]
     try:
         if args.command == "run":
-            analyses = _run_analyses(args.analyses)
+            analyses = _names(args.analyses, _RUN, "analyses")
         for analysis in analyses:
             produce, _ = _ANALYSES[analysis]
             for name, (header, rows) in produce(args).items():

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .spectral import (
     scan_correlation,
     scan_report,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 DEFAULT_THRESHOLD = 1.0 / (2.0 * math.e)
 DEFAULT_T_MAX = 10 ** 6
@@ -280,7 +276,7 @@ def _symmetric_deviation(rows, starts, r) -> np.ndarray:
 
 
 def random_update_mixing_time(
-    symmetric: sp.csr_array,
+    symmetric,
     space: StateSpace,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
@@ -303,7 +299,7 @@ def random_update_mixing_time(
 
 
 def active_start_mixing_time(
-    symmetric: sp.csr_array,
+    symmetric,
     space: StateSpace,
     threshold: float = DEFAULT_THRESHOLD,
     t_max: int = DEFAULT_T_MAX,
@@ -458,7 +454,7 @@ def _fill_report(contraction, weight, tvs) -> dict:
     return {"holds": holds, "worst_margin_by_t": results, "contraction": contraction}
 
 
-def random_update_fill_inequality(symmetric: sp.csr_array, space: StateSpace) -> dict:
+def random_update_fill_inequality(symmetric, space: StateSpace) -> dict:
     """Check TV(P^t(x, .), pi)^2 <= (1 - gap(R(P)))^t / pi(x) at t = 1, 2, 4, ..., 32
     for a sparse pi-reversible P, on its symmetric form S: R(P) = P P* = P^2, so
     1 - gap(R(P)) = SLEM^2, and start x's TV is read from row x of S^t.

@@ -8,13 +8,9 @@ Boolean models, but the data model supports any finite domain size.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-# |H| beyond this overflows exp() in 64-bit floats; exact-kernel code
-# needs finite weights, so we refuse rather than emit inf.
-HAMILTONIAN_RANGE = 700.0
 
 # Hard limit on the full configuration grid we are willing to sweep while
 # enumerating the support; larger instances belong to the lumped module.
@@ -26,10 +22,6 @@ _HARDCORE_N_MAX = (_ENUMERATION_LIMIT.bit_length() - 1) // 2
 
 class ModelError(ValueError):
     """Invalid model construction or invalid query against a model."""
-
-
-class HamiltonianRangeError(ModelError):
-    """Hamiltonian magnitude too large for exp() in 64-bit floats."""
 
 
 class BipartiteStructureError(ModelError):
@@ -143,22 +135,12 @@ def _all_pairs(n1: int, n2: int):
 
 
 def build_rbm(weights, bias1, bias2) -> BipartiteModel:
-    """Boolean model with one [0,0,0,W] factor per cross-partition pair."""
+    """Boolean model with one [0,0,0,W] factor per cross-partition pair:
+    the two-layer build_dbm."""
     weights = np.asarray(weights, dtype=float)
-    bias1 = np.asarray(bias1, dtype=float)
-    bias2 = np.asarray(bias2, dtype=float)
     if weights.ndim != 2:
         raise ModelError("weight matrix must be 2-dimensional")
-    n1, n2 = weights.shape
-    if bias1.shape != (n1,) or bias2.shape != (n2,):
-        raise ModelError(
-            f"bias shapes {bias1.shape}, {bias2.shape} do not match weights {weights.shape}"
-        )
-    i, j = _all_pairs(n1, n2)
-    unaries = np.zeros((n1 + n2, 2))
-    unaries[:n1, 1] = bias1
-    unaries[n1:, 1] = bias2
-    return BipartiteModel(n1, n2, 2, i, n1 + j, _rbm_tables(weights), unaries, label="rbm")
+    return replace(build_dbm(weights.shape, [weights], [bias1, bias2]), label="rbm")
 
 
 def build_dbm(layer_sizes, interlayer_weights, biases) -> BipartiteModel:

@@ -8,7 +8,6 @@ multiplicative reversibilizations become exactly symmetric matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,9 +21,6 @@ from .chain import (
 )
 from .model import BipartiteModel
 from . import chain
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 _SYMMETRY_TOL = 1e-9
 # Largest kernel whose sparse eigenproblem goes to the dense solver, which
@@ -167,10 +163,8 @@ def scan_report(table: chain.JointTable) -> SpectralReport:
     )
 
 
-def random_update_symmetric(
-    model: BipartiteModel, space: StateSpace, lazy: bool = True
-) -> sp.csr_array:
-    """S = D^{1/2} P_RU D^{-1/2} of the random-update kernel, built from pi.
+def random_update_symmetric(model: BipartiteModel, space: StateSpace, lazy: bool = True):
+    """S = D^{1/2} P_RU D^{-1/2} of the random-update kernel, a CSR array built from pi.
 
     Resampling variable x is the pi-orthogonal projection onto functions
     not depending on x (Liu, Wong & Kong 1995). With r = sqrt(pi) and
@@ -226,7 +220,7 @@ def random_update_symmetric(
     return symmetric
 
 
-def sparse_deviation_norm(symmetric: sp.csr_array, space: StateSpace) -> float:
+def sparse_deviation_norm(symmetric, space: StateSpace) -> float:
     """L2(pi) norm of P - S_pi for a sparse pi-reversible kernel P.
 
     It is the largest |eigenvalue| of symmetric = D^{1/2} P D^{-1/2}
@@ -261,7 +255,7 @@ def sparse_deviation_norm(symmetric: sp.csr_array, space: StateSpace) -> float:
     raise NumericalError(f"ARPACK did not converge: {failure}") from failure
 
 
-def random_update_report(symmetric: sp.csr_array, space: StateSpace) -> SpectralReport:
+def random_update_report(symmetric, space: StateSpace) -> SpectralReport:
     """Spectral report of the reversible random-update kernel, from its symmetric form."""
     slem = sparse_deviation_norm(symmetric, space)
     if slem >= 1.0:

@@ -17,6 +17,7 @@ strong-connectivity test in scipy.sparse.csgraph, for a kernel and for
 the scan on a joint table.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +39,7 @@ from scangibbs.chain import (
 from scangibbs.coupling import _RNG_BLOCK, CouplingInvariantError, _site_update
 from scangibbs.lumped import LumpingError
 from scangibbs.mixing import DEFAULT_THRESHOLD, MixingError
-from scangibbs.model import (
-    HAMILTONIAN_RANGE,
-    BipartiteModel,
-    HamiltonianRangeError,
-    ModelError,
-    philox_key,
-)
+from scangibbs.model import BipartiteModel, ModelError, philox_key
 from scangibbs.spectral import (
     _SYMMETRY_TOL,
     NonErgodicError,
@@ -53,6 +48,10 @@ from scangibbs.spectral import (
 )
 
 UNIT_HALF_EPOCH = "half_epoch"
+
+# exp(h) is a finite normal float64 for h in this range: above it
+# exp overflows, below it the weight is subnormal or 0.
+_EXP_RANGE = (math.log(np.finfo(float).tiny), math.log(np.finfo(float).max))
 
 
 def model_from_edges(n1, n2, domain_size, edges, unaries, **kwargs) -> BipartiteModel:
@@ -95,10 +94,9 @@ def unnormalized_weight(model: BipartiteModel, config) -> float:
     if violates_constraints(model, config):
         return 0.0
     h = hamiltonian(model, config)
-    if abs(h) > HAMILTONIAN_RANGE:
-        raise HamiltonianRangeError(
-            f"hamiltonian out of numeric range: |{h}| > {HAMILTONIAN_RANGE}"
-        )
+    low, high = _EXP_RANGE
+    if not low <= h <= high:
+        raise ModelError(f"exp of the hamiltonian {h} is not a normal float64")
     return float(np.exp(h))
 
 

@@ -58,6 +58,15 @@ def test_enumerate_cap_exceeded(hardcore_k33):
         sg.enumerate_state_space(hardcore_k33, cap=10)
 
 
+def test_enumerate_refuses_a_hamiltonian_that_overflows():
+    # Finite tables whose sum is inf: h - max h would be NaN. The message
+    # replaces numpy's overflow warning.
+    model = sg.build_rbm([[1e308]], [1e308], [0.0])
+    with warnings.catch_warnings(), pytest.raises(sg.ModelError, match="overflows float64"):
+        warnings.simplefilter("error")
+        sg.enumerate_state_space(model)
+
+
 def test_enumerate_wide_domain():
     # 200 values per variable overflow an int8 configuration grid
     S = 200

@@ -2,12 +2,15 @@ import argparse
 import ast
 import builtins
 import csv
+import importlib
+import inspect
 import json
 import math
 import shlex
 import subprocess
 import sys
 import tracemalloc
+import typing
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -465,12 +468,29 @@ def _annotation_roots(tree):
                          ids=lambda path: path.name)
 def test_every_annotation_names_a_module_level_binding(path):
     # A name that an annotation uses must be bound at module level, where a
-    # type checker or a reader looks for it. Where importing it costs
-    # start-up, as scipy.sparse does, the module binds it under TYPE_CHECKING
-    # and imports it for real where it runs.
+    # type checker or a reader looks for it. scipy.sparse is imported only
+    # where a sparse matrix is built, so no annotation names it.
     tree = ast.parse(path.read_text())
     bound = _module_bindings(tree.body) | set(dir(builtins))
     assert [(line, name) for line, name in _annotation_roots(tree) if name not in bound] == []
+
+
+@pytest.mark.parametrize("path", sorted(Path(cli.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_annotation_resolves_at_run_time(path):
+    # typing.get_type_hints evaluates each annotation in its module's
+    # namespace, as a reader of the running package would.
+    module = importlib.import_module(f"scangibbs.{path.stem}".removesuffix(".__init__"))
+    defined = [obj for obj in vars(module).values()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == module.__name__]
+    unresolved = []
+    for obj in defined:
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append((obj.__qualname__, str(exc)))
+    assert unresolved == []
 
 
 def _fail_mixing_stage(monkeypatch, tmp_path, exc):
@@ -575,6 +595,9 @@ _MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
                                   "weight_low": 0.0, "weight_high": 1.0, "seed": 1}],
     ["spectral", "--model-file", {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 1,
                                   "weight_low": 0.0, "weight_high": 1.0, "seed": 1.0}],
+    # finite tables whose Hamiltonian overflows float64
+    ["spectral", "--model-file", {"kind": "rbm", "weights": [[1e308]], "bias1": [1e308],
+                                  "bias2": [0]}],
 ])
 def test_bad_input_is_user_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -634,6 +657,48 @@ def test_kernel_check_failure_is_numerical(tmp_path, monkeypatch, capsys):
     assert len(checked) == 1 and math.isnan(checked[0])
     assert "below the negative tolerance" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def _dyadic_mrf(shift):
+    # Every parameter is dyadic, so each h is exact and a shift of every
+    # unary value by the same constant moves h by an exact 4 * shift.
+    unary = [[0.0, 0.5], [0.25, -0.75], [-0.5, 0.125], [1.0, 0.375]]
+    tables = [[[0.5, -0.25], [0.0, 1.0]], [[-0.5, 0.25], [0.75, 0.0]],
+              [[0.125, 0.0], [-1.0, 0.5]], [[0.0, 0.625], [0.25, -0.125]]]
+    ends = [(0, 2), (0, 3), (1, 2), (1, 3)]
+    return {"kind": "mrf", "partition": [0, 0, 1, 1],
+            "unary": [[x + shift for x in row] for row in unary],
+            "edges": [{"u": u, "v": v, "table": t} for (u, v), t in zip(ends, tables)]}
+
+
+@pytest.mark.parametrize("command", [["spectral"], ["mixing"],
+                                     ["verify", "--suite", "mixing_bounds"],
+                                     ["verify", "--suite", "fill"]], ids=" ".join)
+def test_shifted_unaries_give_the_same_csvs(tmp_path, command):
+    # max |h| of the shifted model is above 1000; pi = exp(h - max h) is
+    # the unshifted model's to the bit.
+    outputs = []
+    for shift in (0.0, 256.0):
+        model_file = tmp_path / f"mrf{shift}.json"
+        model_file.write_text(json.dumps(_dyadic_mrf(shift)))
+        out = tmp_path / f"out{shift}"
+        assert run_cli([*command, "--model-file", str(model_file), "--out", str(out)]) == (
+            cli.EXIT_OK)
+        outputs.append({path.name: path.read_bytes() for path in out.glob("*.csv")})
+    assert outputs[0] and outputs[1] == outputs[0]
+
+
+def test_vanishing_pi_is_numerical(tmp_path, capsys):
+    # Biases 699 on layer one give h from 0 to 1398, and exp(-1398) is 0.
+    model_file = tmp_path / "rbm.json"
+    model_file.write_text(json.dumps(
+        {"kind": "rbm", "weights": [[0.0, 0.0], [0.0, 0.0]], "bias1": [699.0, 699.0],
+         "bias2": [0.0, 0.0]}))
+    out = tmp_path / "out"
+    assert run_cli(["spectral", "--model-file", str(model_file), "--out", str(out)]) == (
+        cli.EXIT_NUMERICAL_ERROR)
+    assert "pi vanishes at a state" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", [["spectral"], ["mixing"], ["verify", "--suite", "fill"]])

@@ -165,6 +165,31 @@ def test_verify_mixing_bounds_soft(asymmetric_rbm):
     assert result["t_mix_as"] <= result["t_mix_ru"]
 
 
+@pytest.mark.parametrize("lazy", [True, False])
+def test_shifted_unaries_give_the_same_times(lazy):
+    # Adding 200 to both values of every unary leaves pi unchanged, so only
+    # the rounding of h moves. h takes its n unaries after the edges, and each
+    # of those additions is off by at most u H (u = eps / 2, H >= |h| on every
+    # state), so h - max h moves by at most n eps H, and pi, through exp and
+    # the normalization, by a factor within exp(+-delta), delta = 2 n eps H.
+    # In either sampler's chain pi(x) P(x, y) is a product or quotient of
+    # three pi factors and the variance is linear in pi, so the gap, a
+    # minimum of their ratio, and with it t_rel move by a factor within
+    # exp(+-4 delta). The eigensolvers' own rounding is not in this bound;
+    # on this model it is far below it.
+    base = sg.random_bipartite_model(3, 3, 9, -2.0, 2.0, 3)
+    shifted = dataclasses.replace(base, unaries=base.unaries + 200.0)
+    H = 200.0 * base.n + float(np.abs(base.tables).sum())
+    delta = 2 * base.n * np.finfo(float).eps * H
+    results = [(verify(base, lazy=lazy), verify(shifted, lazy=lazy))
+               for verify in (sg.verify_theorem1, sg.verify_mixing_bounds)]
+    for a, b in results:
+        for key in ("t_rel_ru", "t_rel_as"):
+            assert abs(b[key] - a[key]) <= math.expm1(4 * delta) * a[key], key
+    a, b = results[1]
+    assert (b["t_mix_ru"], b["t_mix_as"]) == (a["t_mix_ru"], a["t_mix_as"])
+
+
 def test_fill_inequality_scan_and_ru(k22):
     model, space = k22
     kernels = [

@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scangibbs as sg
-from scangibbs.model import (
-    BipartiteModel,
-    BipartiteStructureError,
-    HamiltonianRangeError,
-    ModelError,
-)
+from scangibbs.model import BipartiteModel, BipartiteStructureError, ModelError
 
 from oracles import conditional_distribution, hamiltonian, model_from_edges, unnormalized_weight
 
@@ -70,9 +65,15 @@ def test_unnormalized_weight_zero_rbm(zero_rbm_22):
 
 
 def test_unnormalized_weight_range_guard():
-    model = sg.build_rbm(np.array([[800.0]]), np.zeros(1), np.zeros(1))
-    with pytest.raises(HamiltonianRangeError):
-        unnormalized_weight(model, [1, 1])
+    # The oracle exponentiates h unshifted. exp(709) and exp(-708) are normal
+    # floats, though |h| > 700; exp(710) overflows and exp(-709) is subnormal.
+    for h in (709.0, -708.0):
+        model = sg.build_rbm(np.array([[h]]), np.zeros(1), np.zeros(1))
+        assert unnormalized_weight(model, [1, 1]) == np.exp(h)
+    for h in (710.0, -709.0, 800.0, -800.0):
+        model = sg.build_rbm(np.array([[h]]), np.zeros(1), np.zeros(1))
+        with pytest.raises(ModelError, match="not a normal float64"):
+            unnormalized_weight(model, [1, 1])
 
 
 def test_conditional_uniform_for_zero_weights(zero_rbm_22):
