@@ -221,6 +221,7 @@ def scan_mixing_time(
 _SPARSE_DENSITY = 0.05
 # _symmetric_deviation reads and densifies rows in blocks of about this
 # many entries: 32 rows of a 2048-state power, all rows up to 256 states.
+# active_start_mixing_time reads a full power's active rows in such blocks.
 _READOUT_ELEMENTS = 2 ** 16
 
 
@@ -312,13 +313,21 @@ def active_start_mixing_time(
     d_x(t) = TV(P^t(x, .), pi) is non-increasing in t: d_x(t + 1) is
     half the L1 norm of (P^t(x, .) - pi) P, and P does not increase the
     L1 norm of a signed measure. So a start with
-    d_x(t) <= threshold has mixed for good and can be dropped. Squaring
-    forms the rows of starts still above the threshold first and the
-    settled rows only if the bracket is still open; the bisection then
-    lifts the remaining rows by the squares, largest first. Once S^(2s)
-    is formed only the lifting reads S^s, so a dense S^s whose half
-    S^(s/2) is stored is dropped, and the lifting applies S^(s/2) twice
-    in its place: at most every other dense power is held.
+    d_x(t) <= threshold has mixed for good and can be dropped, and the
+    last distance read for a start, d_x(0) = 1 - pi(x) before any, bounds
+    its distance at every later t: a start not read stays active.
+
+    A full power's active rows are read a block at a time, nearest start
+    first, and the reading stops after a block whose starts are all
+    above the threshold, since the bracket is then open; it closes only
+    once every active row is read and none is above. While fewer than
+    half the starts are active, squaring forms their rows first and the
+    full square only if the bracket is still open. The bisection reads
+    the rows of S^(s/2) not read there, then lifts the rows of the
+    starts above it by the squares, largest first. Once S^(2s) is formed
+    only the lifting reads S^s, so a dense S^s whose half S^(s/2) is
+    stored is dropped, and the lifting applies S^(s/2) twice in its
+    place: at most every other dense power is held.
 
     The powers are those of S: S^(2s) = S^s (S^s)^T, so every full
     square is symmetric (_symmetric_square) and d_x(t) is read from row
@@ -327,34 +336,59 @@ def active_start_mixing_time(
     """
     _check_search(threshold, t_max)
     _check_nonnegative(symmetric.data)
-    pi = space.pi
-    if 1.0 - float(pi.min()) <= threshold:
+    n = space.size
+    # bound[x] is the last distance read for start x, d_x(0) at first.
+    bound = 1.0 - space.pi
+    active = np.flatnonzero(bound > threshold)
+    if not active.size:
         return 0
-    r = np.sqrt(pi)
-    everyone = np.arange(space.size)
+    r = np.sqrt(space.pi)
+    everyone = np.arange(n)
+    rows_per_block = max(1, _READOUT_ELEMENTS // n)
 
     def above(rows, starts):
-        return 0.5 * _symmetric_deviation(rows, starts, r) > threshold
+        bound[starts] = 0.5 * _symmetric_deviation(rows, starts, r)
+        return bound[starts] > threshold
 
-    active = np.flatnonzero(above(symmetric, everyone))
+    def read(power, starts):
+        """Read the rows of power for starts into bound, nearest start first,
+        a block at a time, up to the first block whose starts are all above
+        the threshold. Return the starts left unread, sorted. A power that
+        fits in one block is read whole, in place."""
+        if n <= rows_per_block:
+            above(power, everyone)
+            return starts[:0]
+        order = starts[np.argsort(bound[starts], kind="stable")]
+        for lo in range(0, order.size, rows_per_block):
+            block = order[lo : lo + rows_per_block]
+            if above(power[block], block).all():
+                return np.sort(order[lo + rows_per_block :])
+        return starts[:0]
+
+    unread = read(symmetric, active)
+    active = active[bound[active] > threshold]
     if not active.size:
         return 1
     # squares[k] = S^(2^k), or None where the lifting applies squares[k - 1]
-    # twice; active holds the starts above the threshold at s.
+    # twice; active holds every start above the threshold at s, and perhaps
+    # some in unread, whose rows of S^s were not read.
     squares = [symmetric]
     s = 1
     while True:
         if s >= t_max:
             return None
         square = squares[-1]
-        # The sparse S is always squared whole.
-        partial = active.size < space.size and s > 1
+        # Forming the active rows costs |A| N^2 multiply-adds and a full
+        # square N^2 (N + 1) / 2. The sparse S is always squared whole.
+        partial = 2 * active.size < n and s > 1
         if partial:
             block = square[active] @ square
-            still = above(block, active)
+            above(block, active)
+            unread_next = active[:0]
         else:
             block = _symmetric_square(square)
-            still = above(block, everyone)[active]
+            unread_next = read(block, active)
+        still = bound[active] > threshold
         s *= 2
         if not still.any():
             break
@@ -364,12 +398,16 @@ def active_start_mixing_time(
         squares.append(block)
         if isinstance(squares[-2], np.ndarray) and squares[-3] is not None:
             squares[-2] = None
-        active = active[still]
+        active, unread = active[still], unread_next
     del block, square  # only rows of S^(s/2) are read from here on
 
-    # Each active start is above the threshold at s/2 and at or below it
-    # at s; lift t = s/2 while some start stays above at t + 2^k.
-    # Each power and each lifted block is released once its level is done.
+    # Each active start is at or below the threshold at s; reading the rows
+    # of S^(s/2) not read there leaves those above it at s/2. Lift t = s/2
+    # while some start stays above at t + 2^k. Each power and each lifted
+    # block is released once its level is done.
+    if unread.size:
+        settled = ~above(squares[-1][unread], unread)
+        active = np.setdiff1d(active, unread[settled])
     rows, t = squares.pop()[active], s // 2
     while squares:
         k, power = len(squares) - 1, squares.pop()

@@ -18,6 +18,10 @@ _ENUMERATION_LIMIT = 1 << 22
 # K_{n,n} has a 2^(2n)-cell grid, so no exact analysis takes a larger n,
 # and coupling refuses the hard constraint: n <= 11.
 _HARDCORE_N_MAX = (_ENUMERATION_LIMIT.bit_length() - 1) // 2
+# random_bipartite_model permutes every pair index of its n1 x n2 grid, an
+# int64 buffer of 8 n1 n2 bytes; it refuses a grid above 2^32 pairs (32 GiB)
+# before allocating one.
+_PAIR_LIMIT = 1 << 32
 
 
 class ModelError(ValueError):
@@ -228,6 +232,12 @@ def random_bipartite_model(
     """
     if m < 0:
         raise ModelError(f"m must be non-negative, got {m}")
+    if n1 * n2 > _PAIR_LIMIT:
+        raise ModelError(
+            f"the {n1} x {n2} grid has more than 2^32 pairs: edge selection "
+            f"permutes every pair index, an 8 * n1 * n2-byte buffer, and takes "
+            f"at most 2^32 of them (32 GiB)"
+        )
     if m > n1 * n2:
         raise ModelError(f"m={m} exceeds the {n1 * n2} available pairs")
     if not np.isfinite(weight_high - weight_low):

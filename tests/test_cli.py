@@ -279,19 +279,30 @@ def test_oversized_grid_is_user_error_naming_the_grid(tmp_path, capsys, model, g
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_oversized_pair_grid_is_refused_before_allocating(tmp_path, capsys):
+    # 2^40 pairs would need an 8 TiB permutation of the pair indices
+    out = tmp_path / "out"
+    argv = ["coupling", "--model", "random_rbm", "--n1", "1048576", "--n2", "1048576",
+            "--m", "5", "--weight-low", "0", "--weight-high", "0.1", "--seed", "1"]
+    assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "the 1048576 x 1048576 grid has more than 2^32 pairs" in err
+    assert "8 * n1 * n2-byte" in err
+    assert "Unable to allocate" not in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+# The ids are the ones these cases had when the 2^40-pair random_rbm, now
+# refused before allocating, was the first of three.
 @pytest.mark.parametrize("argv, message", [
-    # rng.permutation(n1 * n2) over 2^40 pairs, 8 TiB of int64
-    (["coupling", "--model", "random_rbm", "--n1", "1048576", "--n2", "1048576", "--m", "5",
-      "--weight-low", "0", "--weight-high", "0.1", "--seed", "1"],
-     "Unable to allocate 8.00 TiB"),
     # [None] * replicates, 2^40 list slots; Python's MemoryError has no message
-    (["coupling", "--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
-      "--weight-low", "0", "--weight-high", "0.3", "--seed", "1",
-      "--samplers", "alternating_scan", "--replicates", "1099511627776"],
-     "error: MemoryError"),
+    pytest.param(["coupling", "--model", "random_rbm", "--n1", "3", "--n2", "3", "--m", "6",
+                  "--weight-low", "0", "--weight-high", "0.3", "--seed", "1",
+                  "--samplers", "alternating_scan", "--replicates", "1099511627776"],
+                 "error: MemoryError", id="argv1-error: MemoryError"),
     # the (n1 + n2) x 2 unary table of a zero_rbm, 16 TiB of float64
-    (["spectral", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
-     "Unable to allocate 16.0 TiB"),
+    pytest.param(["spectral", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
+                 "Unable to allocate 16.0 TiB", id="argv2-Unable to allocate 16.0 TiB"),
 ])
 def test_refused_allocation_is_user_error(tmp_path, capsys, argv, message):
     # Each size is one the allocator refuses at once, before touching memory.
@@ -990,16 +1001,18 @@ def test_cli_mixing_bounds_holds_every_other_dense_power(tmp_path):
     dense power whose half is stored is dropped, and the lifting applies
     the half twice in its place: S^2 goes when S^4 is formed, S^8 when
     S^16 is. At the last full square the search holds S^4, S^16 and S^32.
-    The active rows of S^64 (1022 of the 1024 starts) and the rows of S^32
-    they are formed from add two more, 5 x 8 N^2 in all; the lifting holds
-    at most four. The rest, O(N) vectors and the readout's 64 x N buffer,
-    stays below half of 8 N^2. Holding every square, S^2 to S^32, through
-    the lifting with its rows, their lift and the S^64 rows needs 8 x 8 N^2.
+    1022 of the 1024 starts are active at s = 32, not fewer than half, so
+    S^64 is formed in full, 4 x 8 N^2 in all; the lifting holds at most
+    four. The rest, O(N) vectors and the readout's 64-row blocks and
+    buffer, stays below half of 8 N^2. Forming the 1022 active rows of
+    S^64 first, from a copy of those rows of S^32, needed 5 x 8 N^2, and
+    holding every square, S^2 to S^32, through the lifting with its rows,
+    their lift and the S^64 rows needs 8 x 8 N^2.
     """
     n_states = 2 ** 10
     argv = ["verify", "--suite", "mixing_bounds"]
     peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
-    assert peak < 5.5 * 8 * n_states ** 2
+    assert peak < 4.5 * 8 * n_states ** 2
     assert _rows_by(tmp_path / "verify_mixing_bounds.csv")["both", "t_mix_ru"] == "57"
 
 

@@ -260,6 +260,21 @@ def test_active_start_search_matches_doubling(engine_models, lazy, threshold):
         assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected, model.label
 
 
+@pytest.mark.parametrize("threshold", [0.05, mixing.DEFAULT_THRESHOLD, 0.4])
+@pytest.mark.parametrize("lazy", [True, False])
+def test_active_start_search_in_blocks_of_four_rows_matches_doubling(
+        engine_models, monkeypatch, lazy, threshold):
+    # Every engine model of more than 4 states spans several blocks, so a
+    # square may be read in part, and the starts not read stay active.
+    for model in engine_models:
+        space = sg.enumerate_state_space(model)
+        monkeypatch.setattr(mixing, "_READOUT_ELEMENTS", 4 * space.size)
+        p_ru = random_update_kernel(model, space, lazy=lazy)
+        expected = exact_mixing_time(p_ru, space, threshold, method="doubling").mixing_time
+        s_ru = spectral.random_update_symmetric(model, space, lazy)
+        assert mixing.active_start_mixing_time(s_ru, space, threshold) == expected, model.label
+
+
 @pytest.mark.parametrize("lazy", [True, False])
 def test_random_update_mixing_time_matches_dense_doubling(engine_models, lazy):
     # the same search on S: the same mixing times, truncation and t points
@@ -335,13 +350,52 @@ def test_active_start_search_forms_only_the_rows_it_needs(asymmetric_rbm, monkey
     def above(t):
         return int(np.sum(_per_start_tv(p, space, t) > mixing.DEFAULT_THRESHOLD))
 
-    # S^2 (a sparse product) and S^4 .. S^16 in full, then only the active
-    # rows of S^32, which closes the bracket (16, 32]; lifting t = 16 by 8
-    # (no start above at 24), by 4 (to 20), by 2 (to 22) and by 1 (no
-    # start above at 23).
+    # S^2 (a sparse product) and S^4 .. S^32 in full, the last since 20 of
+    # the 32 starts, at least half, are above at t = 16; S^32 closes the
+    # bracket (16, 32]. Then lifting t = 16 by 8 (no start above at 24),
+    # by 4 (to 20), by 2 (to 22) and by 1 (no start above at 23).
     assert above(8) == space.size
+    assert 2 * above(16) >= space.size
     assert above(16) > above(20) > above(22) > 0 == above(23)
-    assert sum(rows_formed) == 4 * space.size + 3 * above(16) + above(20) + above(22)
+    assert sum(rows_formed) == 5 * space.size + 2 * above(16) + above(20) + above(22)
+
+
+@pytest.mark.parametrize("threshold, t_mix", [(mixing.DEFAULT_THRESHOLD, 23), (0.05, 44)])
+def test_active_start_search_reads_squares_a_block_at_a_time(
+        asymmetric_rbm, monkeypatch, threshold, t_mix):
+    space = sg.enumerate_state_space(asymmetric_rbm)
+    p = random_update_kernel(asymmetric_rbm, space, lazy=True)
+    reads = []
+    symmetric_deviation = mixing._symmetric_deviation
+
+    def counting(rows, starts, r):
+        reads.append(len(starts))
+        return symmetric_deviation(rows, starts, r)
+
+    monkeypatch.setattr(mixing, "_symmetric_deviation", counting)
+    monkeypatch.setattr(mixing, "_READOUT_ELEMENTS", 4 * space.size)
+    s_ru = spectral.random_update_symmetric(asymmetric_rbm, space)
+    assert mixing.active_start_mixing_time(s_ru, space, threshold) == t_mix
+
+    def above(t):
+        return int(np.sum(_per_start_tv(p, space, t) > threshold))
+
+    # S .. S^16 each read one block, the 4 starts nearest the threshold,
+    # all of them above it; at t <= 8 every start is.
+    assert above(8) == space.size
+    if threshold == mixing.DEFAULT_THRESHOLD:
+        # S^32 is read in full and closes the bracket (16, 32]. The 28
+        # starts skipped at S^16 are read there before lifting, which
+        # starts from the 20 rows above at 16: to 24 (none above), 20, 22, 23.
+        assert (above(16), above(20), above(22), above(23)) == (20, 6, 4, 0)
+        assert reads == [4] * 5 + [4] * 8 + [28] + [20, 20, 6, 4]
+    else:
+        # The nearest block at S^32 holds a start at or below 0.05, so the
+        # reading goes on through all 8 blocks. S^64, squared in full as 18
+        # of 32 starts are active, reads their rows, none above; lifting
+        # starts from them: to 48 (none above), 40, 44 (none above), 42, 43.
+        assert (above(32), above(40), above(42)) == (18, 5, 3)
+        assert reads == [4] * 5 + [4] * 8 + [4, 4, 4, 4, 2] + [18, 18, 5, 5, 3]
 
 
 @pytest.mark.parametrize("lazy", [True, False])

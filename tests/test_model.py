@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scangibbs as sg
+from scangibbs import model as model_module
 from scangibbs.model import BipartiteModel, BipartiteStructureError, ModelError
 
 from oracles import conditional_distribution, hamiltonian, model_from_edges, unnormalized_weight
@@ -242,6 +243,34 @@ def test_random_model_too_many_edges():
         sg.random_bipartite_model(2, 2, 5, 0.0, 1.0, seed=0)
     with pytest.raises(ModelError, match="m must be non-negative"):
         sg.random_bipartite_model(2, 2, -1, 0.0, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 7), (3, 5), (31, 33), (100, 100), (1000, 1000)])
+def test_random_model_edges_are_a_permutation_prefix(n1, n2):
+    # The edges are the first m pairs of rng.permutation(n1 * n2), and the
+    # weights come from the stream after it, so every model keeps its bytes.
+    for seed in (0, 1, 7, 2 ** 63):
+        m = max(1, n1 * n2 // 3)
+        rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+        pairs = rng.permutation(n1 * n2)[:m]
+        weights = rng.uniform(-1.0, 1.0, size=m)
+        model = sg.random_bipartite_model(n1, n2, m, -1.0, 1.0, seed)
+        assert model.edge_u.dtype == model.edge_v.dtype == pairs.dtype == np.int64
+        assert np.array_equal(model.edge_u, pairs // n2)
+        assert np.array_equal(model.edge_v, n1 + pairs % n2)
+        assert model.tables[:, 1, 1].tobytes() == weights.tobytes()
+
+
+def test_random_model_refuses_more_than_2_32_pairs(monkeypatch):
+    # Refused from n1 and n2 alone, before the 8 * n1 * n2-byte permutation
+    for n1, n2 in ((2 ** 20, 2 ** 20), (2 ** 16 + 1, 2 ** 16)):
+        with pytest.raises(ModelError, match=r"more than 2\^32 pairs.*8 \* n1 \* n2-byte"):
+            sg.random_bipartite_model(n1, n2, 5, 0.0, 1.0, seed=1)
+    # The limit itself is allowed: 12 pairs under a limit of 12, not 15.
+    monkeypatch.setattr(model_module, "_PAIR_LIMIT", 12)
+    assert len(sg.random_bipartite_model(3, 4, 5, 0.0, 1.0, seed=1).edges) == 5
+    with pytest.raises(ModelError, match="more than"):
+        sg.random_bipartite_model(3, 5, 5, 0.0, 1.0, seed=1)
 
 
 def test_model_rejects_intra_partition_edge():
