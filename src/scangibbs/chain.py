@@ -108,14 +108,20 @@ def make_kernel(matrix: np.ndarray, unit: str, label: str) -> Kernel:
     return Kernel(_finalize(np.asarray(matrix, dtype=float)), unit, label)
 
 
-def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> StateSpace:
-    """All configurations with positive weight, with normalized pi."""
-    n, S = model.n, model.domain_size
-    if S ** n > _ENUMERATION_LIMIT:
+def _check_grid(S: int, n: int) -> None:
+    """Refuse a grid of S^n cells above the enumeration limit. S >= 2, so
+    a long n is refused without forming S ** n, however large it is."""
+    if n >= _ENUMERATION_LIMIT.bit_length() or S ** n > _ENUMERATION_LIMIT:
         raise StateSpaceCapError(
             f"full configuration grid of size {S}^{n} is too large to sweep; "
             "use the lumped module for large symmetric instances"
         )
+
+
+def enumerate_state_space(model: BipartiteModel, cap: int = DEFAULT_CAP) -> StateSpace:
+    """All configurations with positive weight, with normalized pi."""
+    n, S = model.n, model.domain_size
+    _check_grid(S, n)
     # The support is marked on the grid (S,) * n; a state's key is its
     # position there, so rows come in itertools.product order.
     valid = np.ones((S,) * n, dtype=bool)

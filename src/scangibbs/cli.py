@@ -60,13 +60,10 @@ class _OutputSet:
                 os.unlink(tmp)
             raise
         self.written.append(path)
-        return path
 
     def write_csv(self, name, header, rows):
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_format_cell(cell) for cell in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        lines = [",".join(header), *(",".join(map(_format_cell, row)) for row in rows)]
+        self.write_text(name, "\n".join(lines) + "\n")
 
     def rollback(self):
         for path in self.written:
@@ -85,6 +82,19 @@ def _format_cell(cell):
 
 _SUMMARY = ("experiment", "model_id", "sampler", "unit", "metric", "value")
 _CURVE = ("model_id", "sampler", "unit", "t", "worst_tv")
+
+
+def _summary(experiment, model_id, sampler, unit, values, metrics):
+    """One summary row per metric, valued from the mapping values; a mixing
+    time the search did not reach reads "truncated"."""
+    return [(experiment, model_id, sampler, unit, metric, "truncated"
+             if metric == "mixing_time" and values[metric] is None else values[metric])
+            for metric in metrics]
+
+
+def _curve(model_id, sampler, unit, report):
+    """One curve row per point of a mixing search's TV curve."""
+    return [(model_id, sampler, unit, t, tv) for t, tv in report.tv_curve]
 
 
 def _resolve_model(args) -> model_mod.BipartiteModel:
@@ -114,50 +124,52 @@ def _resolve_model(args) -> model_mod.BipartiteModel:
     raise model_mod.ModelError(f"unknown inline model kind {kind!r}")
 
 
+def _exact_model(args) -> model_mod.BipartiteModel:
+    """The model of an exact analysis; an inline rbm's grid is checked before it is built."""
+    if args.model in ("random_rbm", "zero_rbm") and not args.model_file:
+        chain._check_grid(2, args.n1 + args.n2)
+    return _resolve_model(args)
+
+
 _SAMPLERS = ("random_update", "alternating_scan")
 
 
 def _names(text, known, what):
-    """The names in a comma-separated list, each one of known, at least one."""
+    """The names a comma-separated list selects, at least one, in the order of known."""
     names = [name.strip() for name in text.split(",") if name.strip()]
     unknown = [name for name in names if name not in known]
     if unknown:
         raise ValueError(f"unknown {what} {unknown}: choose from {', '.join(known)}")
     if not names:
         raise ValueError(f"no {what} selected")
-    return names
+    return [name for name in known if name in names]
 
 
 def _per_sampler(mdl, args, ru, scan):
-    """(sampler, unit, ru(S, space) or scan(joint table)) per selected sampler, RU first;
+    """(sampler, unit, ru(S, space) or scan(joint table)) per selected sampler;
     S is the symmetric form of the random-update kernel."""
     space = chain.enumerate_state_space(mdl, cap=args.cap)
-    samplers = _names(args.samplers, _SAMPLERS, "samplers")
-    if "random_update" in samplers:
-        s_ru = spectral.random_update_symmetric(mdl, space, args.lazy)
-        yield "random_update", chain.UNIT_VARIABLE, ru(s_ru, space)
-    if "alternating_scan" in samplers:
-        yield "alternating_scan", chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))
+    for sampler in _names(args.samplers, _SAMPLERS, "samplers"):
+        if sampler == "random_update":
+            s_ru = spectral.random_update_symmetric(mdl, space, args.lazy)
+            yield sampler, chain.UNIT_VARIABLE, ru(s_ru, space)
+        else:
+            yield sampler, chain.UNIT_EPOCH, scan(chain.joint_table(mdl, space))
 
 
 def _spectral(args):
-    mdl = _resolve_model(args)
+    mdl = _exact_model(args)
     rows = []
     for sampler, unit, report in _per_sampler(
         mdl, args, spectral.random_update_report, spectral.scan_report
     ):
-        for metric, value in (
-            ("gap", report.gap),
-            ("relaxation_time", report.relaxation_time),
-            ("second_largest_modulus", report.second_largest_modulus),
-            ("reversible", report.reversible),
-        ):
-            rows.append(("spectral", mdl.label, sampler, unit, metric, value))
+        rows += _summary("spectral", mdl.label, sampler, unit, vars(report),
+                         ("gap", "relaxation_time", "second_largest_modulus", "reversible"))
     return {"spectral.csv": (_SUMMARY, rows)}
 
 
 def _mixing(args):
-    mdl = _resolve_model(args)
+    mdl = _exact_model(args)
     summary, curve = [], []
     for sampler, unit, report in _per_sampler(
         mdl, args,
@@ -165,11 +177,9 @@ def _mixing(args):
             symmetric, space, args.threshold, args.t_max),
         lambda table: mixing.scan_mixing_time(table, args.threshold, args.t_max),
     ):
-        value = report.mixing_time if report.mixing_time is not None else "truncated"
-        summary.append(("mixing", mdl.label, sampler, unit, "mixing_time", value))
-        summary.append(("mixing", mdl.label, sampler, unit, "truncated", report.truncated))
-        for t, tv in report.tv_curve:
-            curve.append((mdl.label, sampler, unit, t, tv))
+        summary += _summary("mixing", mdl.label, sampler, unit, vars(report),
+                            ("mixing_time", "truncated"))
+        curve += _curve(mdl.label, sampler, unit, report)
     return {"mixing.csv": (_SUMMARY, summary), "mixing_curve.csv": (_CURVE, curve)}
 
 
@@ -187,22 +197,13 @@ def _lumped(args):
             else:
                 kernel = lumped.lumped_as_kernel(n)
             report = spectral.relaxation_time(kernel, space)
-            summary.append(
-                ("lumped", model_id, sampler, kernel.unit, "gap", report.gap)
-            )
-            summary.append(
-                ("lumped", model_id, sampler, kernel.unit,
-                 "relaxation_time", report.relaxation_time)
-            )
             mix = mixing.exact_mixing_time(
                 kernel, space, threshold=args.threshold, t_max=args.t_max
             )
-            value = mix.mixing_time if mix.mixing_time is not None else "truncated"
-            summary.append(
-                ("lumped", model_id, sampler, kernel.unit, "mixing_time", value)
-            )
-            for t, tv in mix.tv_curve:
-                curve.append((model_id, sampler, kernel.unit, t, tv))
+            summary += _summary("lumped", model_id, sampler, kernel.unit,
+                                {**vars(report), "mixing_time": mix.mixing_time},
+                                ("gap", "relaxation_time", "mixing_time"))
+            curve += _curve(model_id, sampler, kernel.unit, mix)
     return {"lumped.csv": (_SUMMARY, summary), "lumped_curve.csv": (_CURVE, curve)}
 
 
@@ -216,24 +217,13 @@ def _coupling(args):
             mdl, sampler, seed=args.seed, replicates=args.replicates,
             max_updates=args.max_updates, lazy=args.lazy,
         )
-        for metric, value in (
-            ("mean", report.mean),
-            ("median", report.median),
-            ("q90", report.q90),
-            ("truncated_count", report.truncated_count),
-            ("replicates", report.replicates),
-        ):
-            summary.append(
-                ("coupling", mdl.label, sampler, "variable_update", metric, value)
-            )
-        for rep, time in zip(report.streams, report.samples):
-            wide.append((mdl.label, sampler, rep, time))
+        summary += _summary("coupling", mdl.label, sampler, "variable_update", vars(report),
+                            ("mean", "median", "q90", "truncated_count", "replicates"))
+        wide += [(mdl.label, sampler, rep, time)
+                 for rep, time in zip(report.streams, report.samples)]
     return {
         "coupling_summary.csv": (_SUMMARY, summary),
-        "coupling.csv": (
-            ("model_id", "sampler", "replicate", "coalescence_updates"),
-            wide,
-        ),
+        "coupling.csv": (("model_id", "sampler", "replicate", "coalescence_updates"), wide),
     }
 
 
@@ -253,45 +243,32 @@ def _theorem1_rows(args):
             int(rng.integers(0, 2 ** 62)),
         )
         res = spectral.verify_theorem1(mdl, cap=args.cap, lazy=args.lazy)
-        rows.append(
-            ("verify_theorem1", mdl.label, "both", "mixed", "holds",
-             res["holds"] and res["contraction_holds"])
-        )
+        holds = {"holds": res["holds"] and res["contraction_holds"]}
+        rows += _summary("verify_theorem1", mdl.label, "both", "mixed", holds, holds)
     return rows
 
 
 def _mixing_bounds_rows(args):
-    mdl = _resolve_model(args)
+    mdl = _exact_model(args)
     res = mixing.verify_mixing_bounds(
         mdl, cap=args.cap, threshold=args.threshold, t_max=args.t_max,
         lazy=args.lazy,
     )
-    return [("verify_mixing_bounds", mdl.label, "both", "mixed", metric, value)
-            for metric, value in res.items()]
+    return _summary("verify_mixing_bounds", mdl.label, "both", "mixed", res, res)
 
 
 def _fill_rows(args):
-    mdl = _resolve_model(args)
-    return [
-        ("verify_fill", mdl.label, sampler, unit, "holds", res["holds"])
-        for sampler, unit, res in _per_sampler(
-            mdl, args,
-            mixing.random_update_fill_inequality, mixing.scan_fill_inequality
-        )
-    ]
+    mdl = _exact_model(args)
+    rows = []
+    for sampler, unit, res in _per_sampler(
+        mdl, args, mixing.random_update_fill_inequality, mixing.scan_fill_inequality
+    ):
+        rows += _summary("verify_fill", mdl.label, sampler, unit, res, ("holds",))
+    return rows
 
 
 def _verify(args):
-    rows_of, read = _SUITES[args.suite]
-    # verify's suite flags are unset unless given (build_parser).
-    unread = sorted(set(vars(args)) - {"command", "suite", "out", *read})
-    if unread:
-        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
-        raise ValueError(f"the {args.suite} suite does not read {flags}")
-    for dest in read:
-        if not hasattr(args, dest):
-            setattr(args, dest, _FLAGS[dest].get("default"))
-    return {f"verify_{args.suite}.csv": (_SUMMARY, rows_of(args))}
+    return {f"verify_{args.suite}.csv": (_SUMMARY, _SUITES[args.suite][0](args))}
 
 
 _MODEL_FLAGS = ("model", "model_file", "n", "n1", "n2", "m", "weight_low", "weight_high",
@@ -306,7 +283,7 @@ _SUITES = {
     "fill": (_fill_rows, (*_MODEL_FLAGS, "cap", "samplers", "lazy")),
 }
 
-# analysis: (its {file name: (header, rows)} from args, the flags it reads)
+# analysis: (its {file name: (header, rows)} from args, the flags it may read)
 _ANALYSES = {
     "spectral": (_spectral, (*_MODEL_FLAGS, "cap", "samplers", "lazy")),
     "mixing": (_mixing, (*_MODEL_FLAGS, "cap", "samplers", "lazy", "threshold", "t_max")),
@@ -355,9 +332,28 @@ _FLAGS = {
 }
 
 
-def _manifest(args, analyses):
-    resolved = dict(vars(args), analyses=analyses)
-    return json.dumps(resolved, indent=2, sort_keys=True, default=str) + "\n"
+def _settings(args):
+    """args cut to the flags its selected analyses read, listed in `analyses`. Flags
+    are unset unless given (build_parser): a given flag none of them reads is refused,
+    and a read flag not given takes its default; --samplers lists its names in order."""
+    given = vars(args)
+    if args.command == "verify":
+        suite = given.get("suite", _FLAGS["suite"]["default"])
+        analyses, subject, read = ["verify"], f"the {suite} suite", ("suite", *_SUITES[suite][1])
+    elif args.command == "run":
+        analyses = _names(given.get("analyses", _FLAGS["analyses"]["default"]), _RUN, "analyses")
+        subject = "run --analyses " + ",".join(analyses)
+        read = tuple(f for analysis in analyses for f in _ANALYSES[analysis][1])
+    else:
+        analyses, subject, read = [args.command], args.command, _ANALYSES[args.command][1]
+    unread = sorted(set(given) - {"command", "out", "analyses", *read})
+    if unread:
+        flags = ", ".join("--" + dest.replace("_", "-") for dest in unread)
+        raise ValueError(f"{subject} does not read {flags}")
+    settings = {dest: given.get(dest, _FLAGS[dest].get("default")) for dest in read}
+    if "samplers" in settings:
+        settings["samplers"] = ",".join(_names(settings["samplers"], _SAMPLERS, "samplers"))
+    return argparse.Namespace(**settings, command=args.command, out=args.out, analyses=analyses)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,11 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, flags in commands.items():
         command = sub.add_parser(name)
         for dest, kwargs in _FLAGS.items():
-            if dest not in flags and dest != "out":  # main reads --out
-                continue
-            if name == "verify" and dest not in ("suite", "out"):
-                # unset unless given, so _verify can tell which flags were given
+            if dest in flags:  # unset unless given, so _settings can tell which were
                 kwargs = {**kwargs, "default": argparse.SUPPRESS}
+            elif dest != "out":  # main reads --out
+                continue
             command.add_argument("--" + dest.replace("_", "-"), **kwargs)
     return parser
 
@@ -385,20 +380,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad command line
         return EXIT_USER_ERROR if exc.code else EXIT_OK
-    out_dir = args.out or os.environ.get(ENV_OUT_DIR) or os.getcwd()
-    outputs = _OutputSet(out_dir)
-    analyses = [args.command]
+    outputs = _OutputSet(args.out or os.environ.get(ENV_OUT_DIR) or os.getcwd())
     try:
-        if args.command == "run":
-            analyses = _names(args.analyses, _RUN, "analyses")
-        for analysis in analyses:
-            produce, _ = _ANALYSES[analysis]
-            for name, (header, rows) in produce(args).items():
+        args = _settings(args)
+        for analysis in args.analyses:
+            for name, (header, rows) in _ANALYSES[analysis][0](args).items():
                 outputs.write_csv(name, header, rows)
-        outputs.write_text("run_manifest.json", _manifest(args, analyses))
+        manifest = json.dumps(vars(args), indent=2, sort_keys=True) + "\n"
+        outputs.write_text("run_manifest.json", manifest)
     except _NUMERICAL_ERRORS as exc:
         outputs.rollback()
-        print(f"scangibbs: numerical failure in {analyses}: {exc}", file=sys.stderr)
+        print(f"scangibbs: numerical failure in {args.analyses}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
     except _USER_ERRORS as exc:
         outputs.rollback()

@@ -1,14 +1,18 @@
 import argparse
 import ast
 import builtins
+import contextlib
 import csv
 import importlib
 import inspect
+import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import typing
 import warnings
@@ -17,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scangibbs as sg
 from scangibbs import chain, cli, mixing, spectral
@@ -300,8 +306,9 @@ def test_oversized_pair_grid_is_refused_before_allocating(tmp_path, capsys):
                   "--weight-low", "0", "--weight-high", "0.3", "--seed", "1",
                   "--samplers", "alternating_scan", "--replicates", "1099511627776"],
                  "error: MemoryError", id="argv1-error: MemoryError"),
-    # the (n1 + n2) x 2 unary table of a zero_rbm, 16 TiB of float64
-    pytest.param(["spectral", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
+    # the (n1 + n2) x 2 unary table of a zero_rbm, 16 TiB of float64; coupling has
+    # no grid, which the exact analyses check first
+    pytest.param(["coupling", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
                  "Unable to allocate 16.0 TiB", id="argv2-Unable to allocate 16.0 TiB"),
 ])
 def test_refused_allocation_is_user_error(tmp_path, capsys, argv, message):
@@ -560,7 +567,7 @@ _MRF = {"kind": "mrf", "partition": [0, 1], "unary": [[0.0, 0.1], [0.0, -0.2]],
 @pytest.mark.parametrize("argv", [
     ["spectral", "--model", "hardcore_knn", "--n", "abc"],
     ["spectral", "--model", "hardcore_knn", "--bogus"],
-    # lumped.csv is written before the model is built
+    # spectral runs first, whatever the order given, and refuses the weight range
     ["run", "--analyses", "lumped,spectral", "--model", "random_rbm", "--seed", "1",
      "--weight-low", "nan"],
     ["run", "--analyses", "spectral,mixing", "--model", "zero_rbm", "--threshold", "nan"],
@@ -821,13 +828,159 @@ def test_each_subcommand_takes_only_its_flags():
         for action in actions:
             assert action.option_strings[0] == "--" + action.dest.replace("_", "-")
             default, help_text = _FLAG_DEFAULTS[action.dest]
-            if name == "verify" and action.dest not in ("suite", "out"):
-                # unset unless given; _verify fills in the defaults its suite reads
+            if action.dest != "out":
+                # unset unless given; main fills in the defaults of the flags a run reads
                 default = argparse.SUPPRESS
             assert (action.default, action.help) == (default, help_text), (
                 name, action.dest)
     assert counts == {"spectral": 13, "mixing": 15, "lumped": 7, "coupling": 14,
                       "verify": 17, "run": 20}
+
+
+_MODEL_FLAGS = {"model", "model_file", "n", "n1", "n2", "m", "weight_low", "weight_high",
+                "seed"}
+# The flags each analysis, and each verify suite, reads (README, "Command line").
+_READS = {
+    "spectral": {*_MODEL_FLAGS, "cap", "samplers", "lazy"},
+    "mixing": {*_MODEL_FLAGS, "cap", "samplers", "lazy", "threshold", "t_max"},
+    "lumped": {"n_min", "n_max", "samplers", "lazy", "threshold", "t_max"},
+    "coupling": {*_MODEL_FLAGS, "samplers", "replicates", "max_updates", "lazy"},
+    "theorem1": {"suite", "seed", "trials", "weight_low", "weight_high", "cap", "lazy"},
+    "mixing_bounds": {"suite", *_MODEL_FLAGS, "cap", "threshold", "t_max", "lazy"},
+    "fill": {"suite", *_MODEL_FLAGS, "cap", "samplers", "lazy"},
+}
+_RUNNABLE = ("spectral", "mixing", "lumped", "coupling")
+
+
+def _selection(text, known):
+    """The names a comma-separated list selects, in the order of known."""
+    names = {name.strip() for name in text.split(",")}
+    return [name for name in known if name in names]
+
+
+def _flags_read(manifest):
+    """The flags a run's manifest records, and the flags its analyses read."""
+    flags = {key for key in manifest if key not in ("command", "out", "analyses")}
+    if manifest["command"] == "verify":
+        return flags, _READS[manifest["suite"]]
+    return flags, set().union(*(_READS[a] for a in manifest["analyses"]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectral", "--model", "hardcore_knn"],
+    ["mixing", "--model", "hardcore_knn", "--n", "2"],
+    ["lumped"],
+    ["coupling", "--model", "zero_rbm", "--seed", "1"],
+    ["verify", "--seed", "1", "--trials", "1"],
+    ["verify", "--suite", "mixing_bounds", "--model", "hardcore_knn", "--n", "2"],
+    ["verify", "--suite", "fill", "--model", "hardcore_knn", "--n", "2"],
+    ["run", "--model", "hardcore_knn", "--n", "2"],
+    ["run", "--analyses", "lumped,coupling", "--model", "zero_rbm", "--seed", "1", "--n-max", "3"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_manifest_holds_each_flag_read_given_or_defaulted(tmp_path, argv):
+    assert run_cli([*argv, "--out", str(tmp_path)]) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    flags, read = _flags_read(manifest)
+    assert flags == read
+    given = {flag[2:].replace("-", "_"): value for flag, value in zip(argv[1::2], argv[2::2])}
+    for dest in flags:
+        if dest in given:
+            assert str(manifest[dest]) == given[dest], dest
+        else:
+            assert manifest[dest] == _FLAG_DEFAULTS[dest][0], dest
+    assert manifest["analyses"] == (
+        _selection(given.get("analyses", "spectral,mixing"), _RUNNABLE)
+        if argv[0] == "run" else [argv[0]])
+
+
+def _outputs(out):
+    """Every file a run wrote, by name; the manifest without its --out."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = json.loads(files.pop("run_manifest.json"))
+    del manifest["out"]
+    return files, manifest
+
+
+@pytest.mark.parametrize("selection, reference", [
+    ("alternating_scan,random_update", None),
+    ("random_update,alternating_scan,random_update", None),
+    ("alternating_scan,alternating_scan", "alternating_scan"),
+])
+@pytest.mark.parametrize("command", [
+    ["lumped", "--n-min", "2", "--n-max", "3"],
+    ["coupling", *_SIX, "--replicates", "3", "--no-lazy"],
+    ["spectral", "--model", "hardcore_knn", "--n", "2"],
+    ["mixing", "--model", "hardcore_knn", "--n", "2"],
+    ["verify", "--suite", "fill", "--model", "hardcore_knn", "--n", "2"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_samplers_select_a_subset_in_a_fixed_order(tmp_path, command, selection, reference):
+    # None stands for the default selection, both samplers
+    outputs = []
+    for name, samplers in (("given", ["--samplers", selection]),
+                           ("reference", ["--samplers", reference] if reference else [])):
+        assert run_cli([*command, *samplers, "--out", str(tmp_path / name)]) == cli.EXIT_OK
+        outputs.append(_outputs(tmp_path / name))
+    assert outputs[0] == outputs[1]
+
+
+def test_coupling_runs_a_repeated_sampler_once(tmp_path):
+    argv = ["coupling", *_SIX, "--samplers", "alternating_scan,alternating_scan",
+            "--replicates", "2", "--no-lazy", "--out", str(tmp_path)]
+    assert run_cli(argv) == cli.EXIT_OK
+    rows = read_csv(tmp_path / "coupling.csv")
+    assert [(r["sampler"], r["replicate"]) for r in rows] == [
+        ("alternating_scan", "0"), ("alternating_scan", "1")]
+
+
+def test_run_analyses_select_a_subset_in_a_fixed_order(tmp_path):
+    argv = ["run", "--model", "zero_rbm", "--n1", "2", "--n2", "2"]
+    outputs = []
+    for name, analyses in (("given", "mixing,spectral,spectral"), ("reference", "spectral,mixing")):
+        assert run_cli([*argv, "--analyses", analyses, "--out", str(tmp_path / name)]) == (
+            cli.EXIT_OK)
+        outputs.append(_outputs(tmp_path / name))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1]["analyses"] == ["spectral", "mixing"]
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["run", "--analyses", "spectral", "--model", "hardcore_knn", "--n", "2",
+      "--replicates", "5"], "--replicates"),
+    (["run", "--analyses", "lumped", "--n-min", "2", "--n-max", "3", "--model", "hardcore_knn"],
+     "--model"),
+])
+def test_run_refuses_a_flag_its_analyses_do_not_read(tmp_path, capsys, argv, unread):
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert f"does not read {unread}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+_HUGE_RBM = ["--model", "random_rbm", "--n1", "65536", "--n2", "65536", "--m", "1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    # 2^32 pairs, within the pair limit: the permutation alone would take 32 GiB
+    ["spectral", *_HUGE_RBM],
+    ["verify", "--suite", "mixing_bounds", *_HUGE_RBM],
+    # spectral runs before coupling, whatever the order given
+    ["run", "--analyses", "coupling,spectral", *_HUGE_RBM],
+    ["mixing", "--model", "zero_rbm", "--n1", "1099511627776", "--n2", "1"],
+    ["verify", "--suite", "fill", "--model", "zero_rbm", "--n1", "20", "--n2", "3"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_exact_analyses_check_the_grid_before_building_a_model(tmp_path, monkeypatch, capsys,
+                                                               argv):
+    def build(*args, **kwargs):
+        raise AssertionError("a model was built before its grid was checked")
+
+    monkeypatch.setattr(cli.model_mod, "random_bipartite_model", build)
+    monkeypatch.setattr(cli.model_mod, "BipartiteModel", build)
+    out = tmp_path / "out"
+    assert run_cli([*argv, "--out", str(out)]) == cli.EXIT_USER_ERROR
+    err = capsys.readouterr().err
+    assert "is too large to sweep" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def _readme_examples():
@@ -1031,3 +1184,123 @@ def test_cli_random_update_mixing_holds_the_squares_below_the_bracket(tmp_path):
     peak = _traced_peak([*argv, *_RBM_1024, "--out", str(tmp_path)])
     assert peak < 7.5 * 8 * n_states ** 2
     assert _rows_by(tmp_path / "mixing.csv")["random_update", "mixing_time"] == "57"
+
+
+# -- a seeded fuzz of the command-line contract ------------------------------
+
+_HUGE = str(2 ** 63)
+_NOT_INTS = ["nan", "inf", "-inf", "1e308", "5e-324", "1.5", "abc"]
+_NOT_FLOATS = ["nan", "inf", "-inf", "1e308", "-1e308", "5e-324", _HUGE, "abc"]
+# Each flag's values: (ones a run takes, ones at or past the edge of what
+# it takes). Counts stay small (n, n1, n2 <= 3, replicates <= 3, trials <= 2,
+# --n-max <= 8, --max-updates <= 2000) or are refused before anything is
+# allocated: a huge --replicates on the random update, say, loops for ever.
+_FUZZ_VALUES = {
+    "model": (["hardcore_knn", "random_rbm", "zero_rbm"], ["ising"]),
+    "model_file": (["{rbm}", "{mrf}", "{dbm}", "{knn}", "{random_rbm}"],
+                   ["{float_n}", "{inf_h}", "{malformed}", "{dir}", "{missing}"]),
+    "n": (["1", "2", "3"], ["0", "-1", _HUGE, *_NOT_INTS]),
+    "n1": (["1", "2", "3"], ["0", "-1", _HUGE, *_NOT_INTS]),
+    "n2": (["1", "2", "3"], ["0", "-1", _HUGE, *_NOT_INTS]),
+    "m": (["0", "2"], ["-1", "10", _HUGE, *_NOT_INTS]),
+    "weight_low": (["0", "-1", "0.2"], _NOT_FLOATS),
+    "weight_high": (["0.3", "1"], _NOT_FLOATS),
+    "seed": (["1", "7"], [_HUGE, "-1", str(2 ** 64), *_NOT_INTS]),
+    "cap": (["4096", "64"], ["0", "8", _HUGE, *_NOT_INTS]),
+    "threshold": (["0.25", "0.05"], ["0", "1", *_NOT_FLOATS]),
+    "t_max": (["50", "1000"], ["0", "1", "-1", _HUGE, *_NOT_INTS]),
+    "max_updates": (["7", "2000"], ["0", "-5", *_NOT_INTS]),
+    "replicates": (["1", "3"], ["0", "-1", _HUGE, *_NOT_INTS]),
+    "n_min": (["1", "2"], ["0", "-1", _HUGE, *_NOT_INTS]),
+    "n_max": (["3", "8"], ["0", _HUGE, *_NOT_INTS]),
+    "trials": (["1", "2"], ["0", "-3", *_NOT_INTS]),
+    "suite": (["theorem1", "mixing_bounds", "fill"], ["both"]),
+}
+_FUZZ_FILES = {
+    "rbm": {"kind": "rbm", "weights": [[0.5, 0.25]], "bias1": [0.1], "bias2": [-0.2, 0.0]},
+    "mrf": _MRF,
+    "dbm": {"kind": "dbm", "layer_sizes": [1, 1, 1], "weights": [[[0.5]], [[-0.5]]],
+            "biases": [[0.0], [0.1], [0.0]]},
+    "knn": {"kind": "hardcore_knn", "n": 2},
+    "random_rbm": {"kind": "random_rbm", "n1": 2, "n2": 2, "m": 3, "weight_low": 0.0,
+                   "weight_high": 0.3, "seed": 1},
+    "float_n": {"kind": "hardcore_knn", "n": 2.5},
+    "inf_h": {"kind": "rbm", "weights": [[1e308]], "bias1": [1e308], "bias2": [0]},
+}
+# --analyses and --suite decide what a request reads, so they are drawn first.
+_EVERY_FLAG = sorted(set().union(*_READS.values()) - {"suite"})
+
+
+def _one_in(n):
+    return st.integers(1, n).map(lambda k: k == 1)
+
+
+def _fuzz_value(draw, dest):
+    """Mostly a value a run takes; one in eight times one at or past the edge."""
+    edge = draw(_one_in(8))
+    if dest in ("samplers", "analyses"):
+        known = cli._SAMPLERS if dest == "samplers" else _RUNNABLE
+        # names that repeat and come in any order; past the edge, none,
+        # a misspelt one or an empty one
+        names = [*known, known[0][:-1], ""] if edge else known
+        return ",".join(draw(st.lists(st.sampled_from(names), min_size=not edge, max_size=4)))
+    return draw(st.sampled_from(_FUZZ_VALUES[dest][edge]))
+
+
+@st.composite
+def _fuzz_requests(draw):
+    command = draw(st.sampled_from(["spectral", "mixing", "lumped", "coupling", "verify", "run"]))
+    given = {}
+    if command == "run":
+        given["analyses"] = _fuzz_value(draw, "analyses")
+        selected = _selection(given["analyses"], _RUNNABLE)
+    elif command == "verify":
+        if draw(st.booleans()):
+            given["suite"] = _fuzz_value(draw, "suite")
+        selected = [given.get("suite", "theorem1")]
+    else:
+        selected = [command]
+    read = sorted(set().union(*(_READS.get(name, ()) for name in selected)) - {"suite"})
+    dests = draw(st.lists(st.sampled_from(read or _EVERY_FLAG), unique=True, max_size=5))
+    if draw(_one_in(4)):  # a flag the selection may not read
+        dests.append(draw(st.sampled_from(_EVERY_FLAG)))
+    # Most runs name a model and a seed; the counts that loop are always given.
+    for dest, forced in (("model", not draw(_one_in(8))), ("seed", not draw(_one_in(8))),
+                         ("replicates", True), ("max_updates", True), ("trials", True)):
+        if forced and dest in read and dest not in dests and not (
+                dest == "model" and "model_file" in dests):
+            dests.append(dest)
+    for dest in dests:
+        if dest != "lazy":
+            given[dest] = _fuzz_value(draw, dest)
+    argv = [command]
+    for dest, value in given.items():
+        argv += ["--" + dest.replace("_", "-"), value]
+    if "lazy" in dests:
+        argv.append(draw(st.sampled_from(["--lazy", "--no-lazy"])))
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(argv=_fuzz_requests())
+def test_fuzz_cli_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dir": tmp, "missing": os.path.join(tmp, "missing.json")}
+        for name, obj in _FUZZ_FILES.items():
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            Path(paths[name]).write_text(json.dumps(obj))
+        paths["malformed"] = os.path.join(tmp, "malformed.json")
+        Path(paths["malformed"]).write_text("{not json")
+        out = os.path.join(tmp, "out")
+        argv = [arg.format(**paths) for arg in argv] + ["--out", out]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_USER_ERROR, cli.EXIT_NUMERICAL_ERROR)
+        assert "Traceback" not in err.getvalue()
+        if code != cli.EXIT_OK:
+            assert not os.path.exists(out) or os.listdir(out) == []
+            return
+        manifest = json.loads(Path(out, "run_manifest.json").read_text())
+        flags, read = _flags_read(manifest)
+        assert flags == read
